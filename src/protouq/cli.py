@@ -15,15 +15,17 @@ import sys
 import numpy as np
 
 from .embed import TEXT, VISION, PairSet, batch_means, similarity_matrix
-from .errors import ProtoUQError
+from .errors import ParseError, ProtoUQError
 from .evidence import (
     EVIDENCE_KINDS,
     EvidenceConfig,
+    dirichlet_uncertainty,
     generate_evidence,
     uncertainty_scores,
 )
 from .fileio import (
     Checkpoint,
+    _text_lines,
     read_checkpoint,
     read_embeddings,
     read_embeddings_csv,
@@ -196,34 +198,41 @@ def _cmd_score(args) -> int:
 
 
 def _scored_corpus(args):
-    """Shared loader: embeddings, pairs, checkpoint, similarity, u vectors."""
-    ckpt = read_checkpoint(args.ckpt)
+    """Shared loader: embeddings, pairs, similarity, and, when --ckpt is
+    given, the checkpoint and both u vectors (else None for all three)."""
+    ckpt = read_checkpoint(args.ckpt) if args.ckpt else None
     vis = _load_embeddings(args.vis, VISION)
     txt = _load_embeddings(args.txt, TEXT)
     pairs = read_pairs(args.pairs)
     pairs.check_against(vis.n, txt.n)
-    m = similarity_matrix(vis, txt, threads=args.threads)
+    m = similarity_matrix(vis, txt)
+    if ckpt is None:
+        return None, vis, txt, pairs, m, None, None
     u_v = uncertainty_scores(vis, ckpt.bank_t, ckpt.evidence)
     u_t = uncertainty_scores(txt, ckpt.bank_v, ckpt.evidence)
     return ckpt, vis, txt, pairs, m, u_v, u_t
 
 
-def _report_rows(m, pairs, prefix=""):
+def _reports(m, pairs) -> list:
+    """One RetrievalReport per direction; a command ranks each matrix once."""
+    return [evaluate_retrieval(m, pairs, direction) for direction in DIRECTIONS]
+
+
+def _report_rows(reports, prefix=""):
     rows = []
-    for direction in DIRECTIONS:
-        rep = evaluate_retrieval(m, pairs, direction)
+    for rep in reports:
         rows += [
-            (prefix + "r1", direction, f"{rep.r1:.4f}"),
-            (prefix + "r5", direction, f"{rep.r5:.4f}"),
-            (prefix + "r10", direction, f"{rep.r10:.4f}"),
-            (prefix + "mdr", direction, f"{rep.mdr:.1f}"),
-            (prefix + "mnr", direction, f"{rep.mnr:.4f}"),
+            (prefix + "r1", rep.direction, f"{rep.r1:.4f}"),
+            (prefix + "r5", rep.direction, f"{rep.r5:.4f}"),
+            (prefix + "r10", rep.direction, f"{rep.r10:.4f}"),
+            (prefix + "mdr", rep.direction, f"{rep.mdr:.1f}"),
+            (prefix + "mnr", rep.direction, f"{rep.mnr:.4f}"),
         ]
     return rows
 
 
-def _mean_r1(m, pairs) -> float:
-    return 0.5 * sum(evaluate_retrieval(m, pairs, d).r1 for d in DIRECTIONS)
+def _mean_r1(reports) -> float:
+    return 0.5 * sum(rep.r1 for rep in reports)
 
 
 def _cmd_rerank(args) -> int:
@@ -251,8 +260,10 @@ def _cmd_rerank(args) -> int:
         beta2 = args.beta2 if args.beta2 is not None else ckpt.rerank.beta2
         params = RerankParams(beta1=beta1, beta2=beta2)
     reranked = apply_rerank(m, u_v, u_t, params)
+    before = _reports(m, pairs)
+    after = _reports(reranked, pairs)
     if args.out:
-        rows = _report_rows(m, pairs) + _report_rows(reranked, pairs, prefix="reranked_")
+        rows = _report_rows(before) + _report_rows(after, prefix="reranked_")
         _write_csv(args.out, ("metric", "direction", "value"), rows)
     if args.out_matrix:
         _write_csv(
@@ -265,30 +276,23 @@ def _cmd_rerank(args) -> int:
         beta1=params.beta1,
         beta2=params.beta2,
         fitted=str(bool(args.fit_betas)).lower(),
-        mean_r1_before=f"{_mean_r1(m, pairs):.4f}",
-        mean_r1_after=f"{_mean_r1(reranked, pairs):.4f}",
+        mean_r1_before=f"{_mean_r1(before):.4f}",
+        mean_r1_after=f"{_mean_r1(after):.4f}",
     )
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    vis = _load_embeddings(args.vis, VISION)
-    txt = _load_embeddings(args.txt, TEXT)
-    pairs = read_pairs(args.pairs)
-    pairs.check_against(vis.n, txt.n)
-    m = similarity_matrix(vis, txt, threads=args.threads)
-    rows = _report_rows(m, pairs)
+    ckpt, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args)
+    rows = _report_rows(_reports(m, pairs))
     summary = {}
     for metric, direction, value in rows:
         if metric in ("r1", "mdr"):
             summary[f"{metric}_{direction}"] = value
-    if args.ckpt:
-        ckpt = read_checkpoint(args.ckpt)
-        u_v = uncertainty_scores(vis, ckpt.bank_t, ckpt.evidence)
-        u_t = uncertainty_scores(txt, ckpt.bank_v, ckpt.evidence)
-        reranked = apply_rerank(m, u_v, u_t, ckpt.rerank)
-        rows += _report_rows(reranked, pairs, prefix="reranked_")
-        summary["reranked_mean_r1"] = f"{_mean_r1(reranked, pairs):.4f}"
+    if ckpt is not None:
+        reranked = _reports(apply_rerank(m, u_v, u_t, ckpt.rerank), pairs)
+        rows += _report_rows(reranked, prefix="reranked_")
+        summary["reranked_mean_r1"] = f"{_mean_r1(reranked):.4f}"
     if args.out:
         _write_csv(args.out, ("metric", "direction", "value"), rows)
     _summary("evaluate", n_queries_t2v=txt.n, n_queries_v2t=vis.n, **summary)
@@ -318,10 +322,17 @@ def _cmd_analyze_pcc(args) -> int:
 
 def _read_labels_column(path, n_items) -> np.ndarray:
     m_items = np.zeros(n_items)
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            m_items[int(row["item"])] = float(row["m"])
+    reader = csv.DictReader(_text_lines(path))
+    for row in reader:
+        try:
+            item, m = int(row["item"]), float(row["m"])
+        except (KeyError, TypeError, ValueError):
+            raise ParseError(
+                f"{path}:{reader.line_num}: needs an integer 'item' and a numeric 'm'"
+            ) from None
+        if not 0 <= item < n_items:
+            raise ParseError(f"{path}:{reader.line_num}: item {item} is not in [0, {n_items})")
+        m_items[item] = m
     return m_items
 
 
@@ -363,8 +374,8 @@ def _cmd_analyze_entropy_demo(args) -> int:
     ent_weak = entropy(softmax(weak))
 
     def u_of(level):
-        e = generate_evidence(np.full(4, level), cfg)
-        return float(1.0 - 4.0 / (4.0 + e.sum()))
+        u, _ = dirichlet_uncertainty(generate_evidence(np.full(4, level), cfg))
+        return float(u)
 
     u_strong, u_weak = u_of(0.8), u_of(0.2)
     rows = [
@@ -471,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt-out", help="write checkpoint with fitted betas")
     p.add_argument("--out", help="before/after report CSV")
     p.add_argument("--out-matrix", help="re-ranked similarity matrix CSV")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_rerank)
 
     p = sub.add_parser("evaluate", help="retrieval metrics for a corpus")
@@ -480,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True)
     p.add_argument("--ckpt", help="also evaluate re-ranked with stored betas")
     p.add_argument("--out", help="report CSV (metric,direction,value)")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("analyze", help="uncertainty analyses")
@@ -493,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--pairs", required=True)
     a.add_argument("--labels", help="gen-synth labels CSV for pcc against m")
     a.add_argument("--out")
-    a.add_argument("--threads", type=int, default=1)
     a.set_defaults(func=_cmd_analyze_pcc)
 
     a = asub.add_parser("removal-curve", help="R@1 after removing risky pairs")
@@ -509,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of pair fractions (used when --counts absent)")
     a.add_argument("--seed", type=int, default=0, help="random-mode draw seed")
     a.add_argument("--out")
-    a.add_argument("--threads", type=int, default=1)
     a.set_defaults(func=_cmd_analyze_removal)
 
     a = asub.add_parser("entropy-demo",

@@ -8,7 +8,6 @@ matrix M has vision on rows and text on columns everywhere.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +40,26 @@ def _as_float_matrix(matrix) -> np.ndarray:
     return out
 
 
+def _checked_rows(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """A nonempty (n, d >= 2) float matrix of finite rows, with its row norms.
+
+    A NaN or infinite entry makes its row's norm non-finite, so checking the
+    n norms rejects every non-finite matrix without a pass over n * d (and a
+    row whose norm overflows float64, which could not be normalized anyway).
+    """
+    out = _as_float_matrix(matrix)
+    if out.shape[0] < 1:
+        raise EmptyMatrix("embedding matrix needs at least one row")
+    if out.shape[1] < 2:
+        raise DimensionTooSmall(f"embedding dimension must be >= 2, got {out.shape[1]}")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(out, axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise InvariantViolation(f"row {int(bad[0])} has a NaN, infinite or overflowing norm")
+    return out, norms
+
+
 @dataclass(frozen=True)
 class EmbeddingSet:
     """An immutable (n, d) block of unit-norm row vectors for one modality."""
@@ -51,14 +70,7 @@ class EmbeddingSet:
     def __post_init__(self) -> None:
         if self.modality not in MODALITIES:
             raise ModalityMismatch(f"unknown modality {self.modality!r}")
-        vectors = _as_float_matrix(self.vectors)
-        if vectors.shape[0] < 1:
-            raise EmptyMatrix("embedding set needs at least one row")
-        if vectors.shape[1] < 2:
-            raise DimensionTooSmall(
-                f"embedding dimension must be >= 2, got {vectors.shape[1]}"
-            )
-        norms = np.linalg.norm(vectors, axis=1)
+        vectors, norms = _checked_rows(self.vectors)
         if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
             worst = float(np.max(np.abs(norms - 1.0)))
             raise InvariantViolation(
@@ -88,13 +100,9 @@ def normalize_rows(matrix, modality: str) -> EmbeddingSet:
     Raises:
         ZeroVector: a row has norm below 1e-12 and cannot be normalized.
         DimensionTooSmall: d < 2.
+        InvariantViolation: an entry is NaN or infinite, or a row norm overflows.
     """
-    raw = _as_float_matrix(matrix)
-    if raw.shape[0] < 1:
-        raise EmptyMatrix("cannot normalize an empty matrix")
-    if raw.shape[1] < 2:
-        raise DimensionTooSmall(f"embedding dimension must be >= 2, got {raw.shape[1]}")
-    norms = np.linalg.norm(raw, axis=1)
+    raw, norms = _checked_rows(matrix)
     bad = np.flatnonzero(norms < _NORM_EPS)
     if bad.size:
         raise ZeroVector(f"row {int(bad[0])} has near-zero norm and cannot be normalized")
@@ -139,28 +147,15 @@ class SimilarityMatrix:
         return self.values.shape[1]
 
 
-def similarity_matrix(vis: EmbeddingSet, txt: EmbeddingSet, threads: int = 1) -> SimilarityMatrix:
-    """Full cosine matrix between a vision set (rows) and a text set (columns).
-
-    ``threads`` > 1 splits the row blocks across a thread pool; the blocks are
-    reassembled in order, so the result is identical for any thread count.
-    """
+def similarity_matrix(vis: EmbeddingSet, txt: EmbeddingSet) -> SimilarityMatrix:
+    """Full cosine matrix between a vision set (rows) and a text set (columns)."""
     if vis.modality != VISION or txt.modality != TEXT:
         raise ModalityMismatch(
             f"expected (vision, text), got ({vis.modality}, {txt.modality})"
         )
     if vis.d != txt.d:
         raise DimensionMismatch(f"dimension mismatch: {vis.d} vs {txt.d}")
-    if threads <= 1 or vis.n < 2 * threads:
-        values = vis.vectors @ txt.vectors.T
-    else:
-        bounds = np.linspace(0, vis.n, threads + 1, dtype=int)
-        spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            blocks = list(
-                pool.map(lambda s: vis.vectors[s[0]:s[1]] @ txt.vectors.T, spans)
-            )
-        values = np.vstack(blocks)
+    values = vis.vectors @ txt.vectors.T
     np.clip(values, -1.0, 1.0, out=values)
     return SimilarityMatrix(values=values)
 

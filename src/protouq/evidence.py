@@ -118,6 +118,18 @@ class DirichletState:
         return self.evidence.shape[0]
 
 
+def dirichlet_uncertainty(evidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u = 1 - K / S with S = K + sum(e), over the last axis of an evidence array.
+
+    The one place u is computed.  Returns (u, S) so that callers needing the
+    strength (the training gradient) reuse it; u is in [0, 1) for finite
+    nonnegative evidence.
+    """
+    k = evidence.shape[-1]
+    strength = k + evidence.sum(axis=-1)
+    return 1.0 - k / strength, strength
+
+
 def dirichlet_from_evidence(e, k: int | None = None) -> DirichletState:
     """Build the Dirichlet state for one evidence vector.
 
@@ -140,19 +152,17 @@ def dirichlet_from_evidence(e, k: int | None = None) -> DirichletState:
     evidence = evidence.copy()
     evidence.setflags(write=False)
     alpha = evidence + 1.0
-    strength = float(alpha.sum())
+    u, strength = dirichlet_uncertainty(evidence)
     beliefs = evidence / strength
     beliefs.setflags(write=False)
     alpha.setflags(write=False)
-    k = evidence.size
-    psi = k / strength
     return DirichletState(
         evidence=evidence,
         alpha=alpha,
-        strength=strength,
+        strength=float(strength),
         beliefs=beliefs,
-        psi=psi,
-        u=1.0 - psi,
+        psi=evidence.size / float(strength),
+        u=float(u),
     )
 
 
@@ -185,7 +195,5 @@ def uncertainty_scores(instances: EmbeddingSet, prototypes, cfg: EvidenceConfig)
             "opposite modality's prototypes"
         )
     p = prototype_similarities(instances, prototypes)
-    e = generate_evidence(p, cfg)
-    k = p.shape[1]
-    strength = k + e.sum(axis=1)
-    return 1.0 - k / strength
+    u, _ = dirichlet_uncertainty(generate_evidence(p, cfg))
+    return u

@@ -44,8 +44,8 @@ _MODALITY_NAMES = {code: name for name, code in _MODALITY_CODES.items()}
 _KIND_CODES = {kind: i for i, kind in enumerate(EVIDENCE_KINDS)}
 _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
 
-_EMBED_HEADER = struct.Struct("<4sHBQI")
 _MAGIC_VERSION = struct.Struct("<4sH")
+_EMBED_HEADER = struct.Struct("<BQI")
 _BANK_HEADER = struct.Struct("<II")
 _EVIDENCE_BLOCK = struct.Struct("<Bddd")
 _RERANK_BLOCK = struct.Struct("<dd")
@@ -89,6 +89,15 @@ class _Cursor:
             )
 
 
+def _text_lines(path):
+    """Lines of a UTF-8 text file; bytes that do not decode are a ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _check_magic_version(cur: _Cursor, expected_magic: bytes) -> None:
     magic, version = cur.unpack(_MAGIC_VERSION)
     if magic != expected_magic:
@@ -101,12 +110,8 @@ def _check_magic_version(cur: _Cursor, expected_magic: bytes) -> None:
 
 
 def write_embeddings(embeddings: EmbeddingSet, path) -> None:
-    header = _EMBED_HEADER.pack(
-        EMBEDDINGS_MAGIC,
-        FORMAT_VERSION,
-        _MODALITY_CODES[embeddings.modality],
-        embeddings.n,
-        embeddings.d,
+    header = _MAGIC_VERSION.pack(EMBEDDINGS_MAGIC, FORMAT_VERSION) + _EMBED_HEADER.pack(
+        _MODALITY_CODES[embeddings.modality], embeddings.n, embeddings.d
     )
     payload = np.ascontiguousarray(embeddings.vectors, dtype="<f4").tobytes()
     _atomic_write(path, header + payload)
@@ -121,11 +126,8 @@ def read_embeddings(path) -> EmbeddingSet:
     """
     with open(path, "rb") as fh:
         cur = _Cursor(fh.read(), path)
-    magic, version, modality_code, n, d = cur.unpack(_EMBED_HEADER)
-    if magic != EMBEDDINGS_MAGIC:
-        raise BadMagic(f"{path}: expected {EMBEDDINGS_MAGIC!r}, found {magic!r}")
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersion(f"{path}: format version {version}")
+    _check_magic_version(cur, EMBEDDINGS_MAGIC)
+    modality_code, n, d = cur.unpack(_EMBED_HEADER)
     if modality_code not in _MODALITY_NAMES:
         raise InvariantViolation(f"{path}: unknown modality byte {modality_code}")
     raw = np.frombuffer(cur.take(4 * n * d), dtype="<f4")
@@ -142,25 +144,24 @@ def read_embeddings_csv(path, modality: str) -> EmbeddingSet:
     """
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        text = line.strip()
+        if not text:
+            continue
+        fields = text.split(",")
+        try:
+            values = [float(f) for f in fields]
+        except ValueError:
+            if lineno == 1:
                 continue
-            fields = text.split(",")
-            try:
-                values = [float(f) for f in fields]
-            except ValueError:
-                if lineno == 1:
-                    continue
-                raise ParseError(f"{path}:{lineno}: non-numeric field")
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {width} fields, got {len(values)}"
-                )
-            rows.append(values)
+            raise ParseError(f"{path}:{lineno}: non-numeric field")
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise ParseError(
+                f"{path}:{lineno}: expected {width} fields, got {len(values)}"
+            )
+        rows.append(values)
     if not rows:
         raise ParseError(f"{path}: no vector rows")
     return normalize_rows(np.array(rows, dtype=np.float64), modality)
@@ -176,21 +177,20 @@ def write_pairs(pairs: PairSet, path) -> None:
 
 def read_pairs(path) -> PairSet:
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.rstrip("\r\n")
-            if not text:
-                continue
-            fields = text.split("\t")
-            if len(fields) != 2:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 'v<TAB>t', got {text!r}"
-                )
-            try:
-                v, t = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer index in {text!r}")
-            entries.append((v, t))
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        text = line.rstrip("\r\n")
+        if not text:
+            continue
+        fields = text.split("\t")
+        if len(fields) != 2:
+            raise ParseError(
+                f"{path}:{lineno}: expected 'v<TAB>t', got {text!r}"
+            )
+        try:
+            v, t = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-integer index in {text!r}")
+        entries.append((v, t))
     return PairSet(pairs=tuple(entries))
 
 
@@ -271,8 +271,12 @@ def read_checkpoint(path) -> Checkpoint:
     (meta_len,) = cur.unpack(_META_LEN)
     meta_bytes = cur.take(meta_len)
     cur.done()
+    try:
+        meta_text = meta_bytes.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: metadata is not UTF-8 text ({exc.reason})") from None
     meta: dict = {}
-    for lineno, line in enumerate(meta_bytes.decode("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(meta_text.splitlines(), start=1):
         if not line:
             continue
         if "=" not in line:

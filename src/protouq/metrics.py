@@ -20,7 +20,6 @@ from .errors import (
     InvalidConfig,
     InvalidCounts,
     LengthMismatch,
-    MissingPositive,
     NotADistribution,
     TooManyRemoved,
     ZeroVariance,
@@ -37,6 +36,10 @@ UNCERTAINTY_MODE = "uncertainty"
 RANDOM_MODE = "random"
 
 _DIST_TOL = 1e-9
+
+# Queries ranked per block in _best_positive_ranks; its temporaries are a
+# few (block x gallery) arrays, so memory does not grow with the query count.
+_RANK_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -63,15 +66,28 @@ def _values_of(m) -> np.ndarray:
     return values
 
 
-def _rank_of_best_positive(scores: np.ndarray, positives: np.ndarray) -> int:
-    """1-based rank of the best positive under desc-score, asc-index order."""
-    best = None
-    for p in positives:
-        s = scores[p]
-        rank = int(np.count_nonzero(scores > s)) + int(np.count_nonzero(scores[:p] == s)) + 1
-        if best is None or rank < best:
-            best = rank
-    return best
+def _best_positive_ranks(scores: np.ndarray, query, gallery) -> np.ndarray:
+    """Rank of every query's best positive, for queries 0..n-1 on the rows.
+
+    scores is (queries, gallery); pair i links query[i] to gallery[i], and
+    every row must have at least one pair.  The best positive is the one
+    sorted first (highest score, then lowest gallery index), and its rank
+    is count(> s) + count(== s at a lower index) + 1, counted over blocks
+    of _RANK_BLOCK rows so temporaries stay O(block x gallery).
+    """
+    pair_scores = scores[query, gallery]
+    order = np.lexsort((gallery, -pair_scores, query))
+    sorted_query = query[order]
+    best = order[np.r_[True, sorted_query[1:] != sorted_query[:-1]]]
+    best_scores, best_gallery = pair_scores[best][:, None], gallery[best][:, None]
+    columns = np.arange(scores.shape[1])
+    ranks = np.empty(best.size, dtype=np.int64)
+    for start in range(0, best.size, _RANK_BLOCK):
+        rows = slice(start, start + _RANK_BLOCK)
+        block, s = scores[rows], best_scores[rows]
+        ties = (block == s) & (columns < best_gallery[rows])
+        ranks[rows] = np.count_nonzero(block > s, axis=1) + np.count_nonzero(ties, axis=1) + 1
+    return ranks
 
 
 def retrieval_ranks(m, pairs: PairSet, direction: str) -> np.ndarray:
@@ -79,24 +95,10 @@ def retrieval_ranks(m, pairs: PairSet, direction: str) -> np.ndarray:
     values = _values_of(m)
     if direction not in DIRECTIONS:
         raise InvalidConfig(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    n_vision, n_text = values.shape
-    pairs.check_against(n_vision, n_text)
+    pairs.check_against(*values.shape)
     if direction == T2V:
-        by_query = pairs.visions_of()
-        n_queries = n_text
-        column = True
-    else:
-        by_query = pairs.texts_of()
-        n_queries = n_vision
-        column = False
-    ranks = np.empty(n_queries, dtype=np.int64)
-    for q in range(n_queries):
-        positives = by_query.get(q)
-        if positives is None:
-            raise MissingPositive(f"query {q} ({direction}) has no positive")
-        scores = values[:, q] if column else values[q, :]
-        ranks[q] = _rank_of_best_positive(scores, positives)
-    return ranks
+        return _best_positive_ranks(values.T, pairs.text_indices, pairs.vision_indices)
+    return _best_positive_ranks(values, pairs.vision_indices, pairs.text_indices)
 
 
 def evaluate_retrieval(m, pairs: PairSet, direction: str) -> RetrievalReport:
@@ -149,36 +151,17 @@ class RemovalCurve:
     points: tuple[RemovalPoint, ...]
 
 
-def _pair_subset_r1(values: np.ndarray, kept: list[tuple[int, int]], direction: str) -> float:
+def _survivor_r1(scores: np.ndarray, query, gallery, keep) -> float:
     """R@1 over surviving pairs; every surviving pair is one query.
 
     The gallery shrinks to the instances still referenced on the gallery
     side, and each query is scored by its best-ranked surviving positive,
     so with one pair per query this matches evaluate_retrieval exactly.
     """
-    if direction == T2V:
-        gallery = sorted({v for v, _ in kept})
-        gallery_pos = {g: i for i, g in enumerate(gallery)}
-        positives_of: dict[int, list[int]] = {}
-        for v, t in kept:
-            positives_of.setdefault(t, []).append(gallery_pos[v])
-        hits = 0
-        for v, t in kept:
-            scores = values[gallery, t]
-            rank = _rank_of_best_positive(scores, np.array(sorted(positives_of[t])))
-            hits += rank == 1
-    else:
-        gallery = sorted({t for _, t in kept})
-        gallery_pos = {g: i for i, g in enumerate(gallery)}
-        positives_of = {}
-        for v, t in kept:
-            positives_of.setdefault(v, []).append(gallery_pos[t])
-        hits = 0
-        for v, t in kept:
-            scores = values[v, gallery]
-            rank = _rank_of_best_positive(scores, np.array(sorted(positives_of[v])))
-            hits += rank == 1
-    return 100.0 * hits / len(kept)
+    query_ids, q = np.unique(query[keep], return_inverse=True)
+    gallery_ids, g = np.unique(gallery[keep], return_inverse=True)
+    ranks = _best_positive_ranks(scores[np.ix_(query_ids, gallery_ids)], q, g)
+    return 100.0 * np.count_nonzero(ranks[q] == 1) / q.size
 
 
 def removal_curve(
@@ -222,32 +205,29 @@ def removal_curve(
             f"cannot remove {counts[-1]} of {n_pairs} pairs and still have queries"
         )
 
-    pair_list = list(pairs.pairs)
     vs = pairs.vision_indices
     ts = pairs.text_indices
 
-    def ordered_survivors(direction: str, r: int) -> list[tuple[int, int]]:
-        if r == 0:
-            return pair_list
+    def survivors(direction: str, r: int) -> np.ndarray:
         if mode == RANDOM_MODE:
-            rng = np.random.default_rng([seed, r])
-            removed = set(map(int, rng.permutation(n_pairs)[:r]))
+            removed = np.random.default_rng([seed, r]).permutation(n_pairs)[:r]
         else:
             vision_is_key = (direction == T2V) == (side == GALLERY_SIDE)
             key = u_v[vs] if vision_is_key else u_t[ts]
-            order = np.argsort(-key, kind="stable")
-            removed = set(map(int, order[:r]))
-        return [p for i, p in enumerate(pair_list) if i not in removed]
+            removed = np.argsort(-key, kind="stable")[:r]
+        keep = np.ones(n_pairs, dtype=bool)
+        keep[removed] = False
+        return keep
 
     points = []
     for r in counts:
-        kept_t2v = ordered_survivors(T2V, r)
-        kept_v2t = kept_t2v if mode == RANDOM_MODE else ordered_survivors(V2T, r)
+        keep_t2v = survivors(T2V, r)
+        keep_v2t = keep_t2v if mode == RANDOM_MODE else survivors(V2T, r)
         points.append(
             RemovalPoint(
                 removed=r,
-                r1_t2v=_pair_subset_r1(values, kept_t2v, T2V),
-                r1_v2t=_pair_subset_r1(values, kept_v2t, V2T),
+                r1_t2v=_survivor_r1(values.T, ts, vs, keep_t2v),
+                r1_v2t=_survivor_r1(values, vs, ts, keep_v2t),
             )
         )
     return RemovalCurve(mode=mode, side=side, points=tuple(points))

@@ -112,12 +112,13 @@ def latent_directions(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """k orthonormal rows in d dimensions from seeded Gaussian draws.
 
     QR of a Gaussian matrix with the R diagonal forced positive is the
-    Gram-Schmidt orthonormalization of the columns, computed stably.
+    Gram-Schmidt orthonormalization of the columns, computed stably.  The
+    rows come back C-contiguous, so gathering a few of them is a row copy.
     """
     q, r = np.linalg.qr(rng.standard_normal((d, k)))
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
-    return (q * signs).T
+    return np.ascontiguousarray((q * signs).T)
 
 
 def generate_corpus(

@@ -34,7 +34,7 @@ from .errors import (
     ModalityMismatch,
     ZeroPrototype,
 )
-from .evidence import EvidenceConfig, evidence_slope, generate_evidence
+from .evidence import EvidenceConfig, dirichlet_uncertainty, evidence_slope, generate_evidence
 
 ADAM = "adam"
 SGD = "sgd"
@@ -233,9 +233,7 @@ def _uct_value_grads(
     n, _ = instances.shape
     k = bank_vectors.shape[0]
     p = instances @ bank_vectors.T
-    e = generate_evidence(p, cfg)
-    strength = k + e.sum(axis=1)
-    u = 1.0 - k / strength
+    u, strength = dirichlet_uncertainty(generate_evidence(p, cfg))
     diff = u - targets
     value = float(np.mean(diff * diff))
     weight = (2.0 / n) * diff * (k / (strength * strength))

@@ -245,6 +245,41 @@ class TestAnalyze:
         assert "log_prob=-28.685402" in capsys.readouterr().out
 
 
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestRuntimeErrors:
+    def test_non_utf8_pairs_file(self, pipeline, tmp_path, capsys):
+        pairs = tmp_path / "p.tsv"
+        pairs.write_bytes(b"0\t0\n\xff\t1\n")
+        assert run(["evaluate", "--vis", pipeline["vis"], "--txt", pipeline["txt"],
+                    "--pairs", str(pairs)]) == 1
+        assert_one_line_error(capsys)
+
+    def test_non_finite_csv_embeddings(self, pipeline, tmp_path, capsys):
+        rows = [[repr(float(x)) for x in row] for row in read_embeddings(pipeline["vis"]).vectors]
+        rows[3][5] = "nan"
+        vis = tmp_path / "vis.csv"
+        vis.write_text("".join(",".join(row) + "\n" for row in rows))
+        assert run(["score", "--ckpt", pipeline["ckpt"], "--vis", str(vis)]) == 1
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("labels", [
+        "item,m,semantics\n0,1,0\n40,2,1;2\n",
+        "item,semantics\n0,0\n",
+    ], ids=["item-out-of-range", "no-m-column"])
+    def test_bad_labels_csv(self, pipeline, tmp_path, capsys, labels):
+        path = tmp_path / "labels.csv"
+        path.write_text(labels)
+        assert run([
+            "analyze", "pcc", "--ckpt", pipeline["ckpt"], "--vis", pipeline["vis"],
+            "--txt", pipeline["txt"], "--pairs", pipeline["pairs"], "--labels", str(path),
+        ]) == 1
+        assert_one_line_error(capsys)
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -253,6 +288,7 @@ class TestUsageErrors:
             ["not-a-command"],
             ["train", "--vis", "v", "--txt", "t", "--pairs", "p", "--ckpt", "c"],
             ["analyze"],
+            ["evaluate", "--vis", "v", "--txt", "t", "--pairs", "p", "--threads", "2"],
         ],
     )
     def test_argparse_exits_2(self, argv):

@@ -123,6 +123,13 @@ class TestEmbeddingsIO:
         with pytest.raises(TruncatedFile):
             read_embeddings(path)
 
+    def test_nan_entry_rejected(self, tmp_path):
+        path = tmp_path / "e.paue"
+        write_embeddings(unit_set(1, 3, 4), path)
+        patched(path, _EMBED_HEADER_SIZE + 4 * 5, struct.pack("<f", float("nan")))
+        with pytest.raises(InvariantViolation, match="row 1"):
+            read_embeddings(path)
+
     def test_no_tmp_files_left_behind(self, tmp_path):
         write_embeddings(unit_set(1, 3, 4), tmp_path / "e.paue")
         assert [p.name for p in tmp_path.iterdir()] == ["e.paue"]
@@ -156,6 +163,13 @@ class TestEmbeddingsCsv:
         path = tmp_path / "e.csv"
         path.write_text("1,0\n0,1,0\n")
         with pytest.raises(ParseError, match="expected 2 fields, got 3"):
+            read_embeddings_csv(path, "vision")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_field_rejected(self, tmp_path, bad):
+        path = tmp_path / "e.csv"
+        path.write_text(f"1,0\n0,{bad}\n")
+        with pytest.raises(InvariantViolation, match="row 1"):
             read_embeddings_csv(path, "vision")
 
     def test_header_only_has_no_rows(self, tmp_path):
@@ -199,6 +213,12 @@ class TestPairsIO:
         path = tmp_path / "p.tsv"
         path.write_text("0\t-1\n")
         with pytest.raises(IndexOutOfRange):
+            read_pairs(path)
+
+    def test_non_utf8_bytes(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        path.write_bytes(b"0\t0\n\xff\xfe\t1\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
             read_pairs(path)
 
 
@@ -287,6 +307,14 @@ class TestCheckpointIO:
         assert blob.endswith(b"a=1\n")
         path.write_bytes(blob[:-4] + b"a_1\n")
         with pytest.raises(ParseError, match="no '='"):
+            read_checkpoint(path)
+
+    def test_non_utf8_metadata(self, tmp_path):
+        path = tmp_path / "m.paup"
+        write_checkpoint(small_checkpoint(meta={"a": 1}), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-2] + b"\xff\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
             read_checkpoint(path)
 
     def test_atomic_overwrite_and_no_tmp_residue(self, tmp_path):

@@ -26,7 +26,7 @@ from protouq.errors import (
     TooManyRemoved,
     ZeroVariance,
 )
-from protouq.metrics import retrieval_ranks
+from protouq.metrics import _RANK_BLOCK, retrieval_ranks
 
 DIAG2 = PairSet(pairs=((0, 0), (1, 1)))
 
@@ -106,6 +106,15 @@ class TestRetrievalRanks:
             for direction in ("t2v", "v2t"):
                 got = retrieval_ranks(values, pairs, direction)
                 assert got.tolist() == naive_ranks(values, pairs, direction).tolist()
+
+    def test_matches_naive_oracle_past_one_query_block(self):
+        rng = np.random.default_rng(69)
+        n_vision, n_text = _RANK_BLOCK + 37, 2 * _RANK_BLOCK + 5
+        values = np.round(rng.uniform(-1.0, 1.0, size=(n_vision, n_text)), 2)
+        pairs = random_many_to_many(rng, n_vision, n_text)
+        for direction in ("t2v", "v2t"):
+            got = retrieval_ranks(values, pairs, direction)
+            assert got.tolist() == naive_ranks(values, pairs, direction).tolist()
 
     def test_unknown_direction_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -192,6 +201,23 @@ def hub_matrix():
     return values, pairs
 
 
+def naive_survivor_r1(values, pairs, removed, direction):
+    """Full-sort oracle for one removal point: every surviving pair is a
+    query, ranked over the gallery instances some surviving pair still uses."""
+    kept = [p for i, p in enumerate(pairs.pairs) if i not in removed]
+    if direction == "t2v":
+        kept = [(t, v) for v, t in kept]
+        values = np.asarray(values).T
+    gallery = sorted({g for _, g in kept})
+    hits = 0
+    for q, _ in kept:
+        scores = values[q, gallery]
+        order = np.lexsort((np.arange(len(gallery)), -scores))
+        position = {gallery[int(j)]: i + 1 for i, j in enumerate(order)}
+        hits += min(position[g] for qq, g in kept if qq == q) == 1
+    return 100.0 * hits / len(kept)
+
+
 class TestRemovalCurve:
     def test_count_zero_matches_full_evaluation(self):
         values, pairs = hub_matrix()
@@ -235,6 +261,31 @@ class TestRemovalCurve:
         assert a == b
         c = removal_curve(values, np.zeros(4), np.zeros(4), pairs, [1, 2], mode="random", seed=4)
         assert a != c
+
+    @pytest.mark.parametrize("mode", ["uncertainty", "random"])
+    @pytest.mark.parametrize("side", ["gallery", "query"])
+    def test_matches_naive_oracle_on_tied_many_to_many(self, mode, side):
+        rng = np.random.default_rng(70)
+        for rep in range(6):
+            n_vision, n_text = int(rng.integers(3, 12)), int(rng.integers(3, 12))
+            values = np.round(rng.uniform(-1.0, 1.0, size=(n_vision, n_text)), 1)
+            pairs = random_many_to_many(rng, n_vision, n_text)
+            u_v = np.round(rng.uniform(0.0, 1.0, n_vision), 1)
+            u_t = np.round(rng.uniform(0.0, 1.0, n_text), 1)
+            n_pairs = len(pairs)
+            counts = sorted({1, n_pairs // 3, n_pairs - 2})
+            curve = removal_curve(values, u_v, u_t, pairs, counts, mode=mode, seed=rep, side=side)
+            vs, ts = pairs.vision_indices, pairs.text_indices
+            for point in curve.points:
+                r = point.removed
+                for direction, got in (("t2v", point.r1_t2v), ("v2t", point.r1_v2t)):
+                    if mode == "random":
+                        order = np.random.default_rng([rep, r]).permutation(n_pairs)
+                    else:
+                        key = u_v[vs] if (direction == "t2v") == (side == "gallery") else u_t[ts]
+                        order = np.argsort(-key, kind="stable")
+                    removed = set(order[:r].tolist())
+                    assert got == naive_survivor_r1(values, pairs, removed, direction)
 
     def test_too_many_removed_rejected(self):
         values, pairs = hub_matrix()
