@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .embed import TEXT, VISION, PairSet, batch_means, similarity_matrix
+from .embed import TEXT, VISION, batch_means, similarity_matrix
 from .errors import ParseError, ProtoUQError
 from .evidence import (
     EVIDENCE_KINDS,
@@ -218,17 +218,15 @@ def _reports(m, pairs) -> list:
     return [evaluate_retrieval(m, pairs, direction) for direction in DIRECTIONS]
 
 
+_REPORT_FORMATS = (("r1", ".4f"), ("r5", ".4f"), ("r10", ".4f"), ("mdr", ".1f"), ("mnr", ".4f"))
+
+
 def _report_rows(reports, prefix=""):
-    rows = []
-    for rep in reports:
-        rows += [
-            (prefix + "r1", rep.direction, f"{rep.r1:.4f}"),
-            (prefix + "r5", rep.direction, f"{rep.r5:.4f}"),
-            (prefix + "r10", rep.direction, f"{rep.r10:.4f}"),
-            (prefix + "mdr", rep.direction, f"{rep.mdr:.1f}"),
-            (prefix + "mnr", rep.direction, f"{rep.mnr:.4f}"),
-        ]
-    return rows
+    return [
+        (prefix + name, rep.direction, format(getattr(rep, name), spec))
+        for rep in reports
+        for name, spec in _REPORT_FORMATS
+    ]
 
 
 def _mean_r1(reports) -> float:
@@ -308,10 +306,9 @@ def _cmd_analyze_pcc(args) -> int:
     ]
     if args.labels:
         m_items = _read_labels_column(args.labels, vis.n)
-        texts_of = pairs.texts_of()
-        m_caps = np.empty(txt.n)
-        for item, caps in texts_of.items():
-            m_caps[caps] = m_items[item]
+        # A caption paired with several items gets the mean of their m.
+        vs, ts = pairs.pairs.T
+        m_caps = np.bincount(ts, weights=m_items[vs]) / np.bincount(ts)
         rows.append(("pcc_u_m", VISION, f"{pearson(u_v, m_items):.6f}"))
         rows.append(("pcc_u_m", TEXT, f"{pearson(u_t, m_caps):.6f}"))
     if args.out:
@@ -321,7 +318,7 @@ def _cmd_analyze_pcc(args) -> int:
 
 
 def _read_labels_column(path, n_items) -> np.ndarray:
-    m_items = np.zeros(n_items)
+    m_items = np.full(n_items, np.nan)
     reader = csv.DictReader(_text_lines(path))
     for row in reader:
         try:
@@ -333,6 +330,9 @@ def _read_labels_column(path, n_items) -> np.ndarray:
         if not 0 <= item < n_items:
             raise ParseError(f"{path}:{reader.line_num}: item {item} is not in [0, {n_items})")
         m_items[item] = m
+    missing = np.flatnonzero(~np.isfinite(m_items))
+    if missing.size:
+        raise ParseError(f"{path}: item {int(missing[0])} has no row with a finite 'm'")
     return m_items
 
 
@@ -410,6 +410,12 @@ def _cmd_analyze_msvd(args) -> int:
 # ---- parser ----
 
 
+def _add_corpus_flags(p: argparse.ArgumentParser, ckpt_help=None, ckpt_required=True) -> None:
+    for flag in ("--vis", "--txt", "--pairs"):
+        p.add_argument(flag, required=True)
+    p.add_argument("--ckpt", required=ckpt_required, help=ckpt_help)
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=8, help="prototypes per bank")
     p.add_argument("--epochs", type=int, required=True)
@@ -452,10 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_synth)
 
     p = sub.add_parser("train", help="train prototype banks")
-    p.add_argument("--vis", required=True)
-    p.add_argument("--txt", required=True)
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--ckpt", required=True, help="output checkpoint")
+    _add_corpus_flags(p, ckpt_help="output checkpoint")
     p.add_argument("--out", help="optional loss history CSV")
     p.add_argument("--seed", type=int, default=0)
     _add_train_flags(p)
@@ -470,10 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("rerank", help="uncertainty-weighted re-ranking")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--vis", required=True)
-    p.add_argument("--txt", required=True)
-    p.add_argument("--pairs", required=True)
+    _add_corpus_flags(p)
     p.add_argument("--fit-betas", action="store_true",
                    help="grid-fit betas on the given (validation) data")
     p.add_argument("--grid", help="comma list of beta candidates")
@@ -485,10 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rerank)
 
     p = sub.add_parser("evaluate", help="retrieval metrics for a corpus")
-    p.add_argument("--vis", required=True)
-    p.add_argument("--txt", required=True)
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--ckpt", help="also evaluate re-ranked with stored betas")
+    _add_corpus_flags(p, ckpt_help="also evaluate re-ranked with stored betas", ckpt_required=False)
     p.add_argument("--out", help="report CSV (metric,direction,value)")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -496,19 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
     asub = p.add_subparsers(dest="submode", required=True)
 
     a = asub.add_parser("pcc", help="correlation between u and mean similarity")
-    a.add_argument("--ckpt", required=True)
-    a.add_argument("--vis", required=True)
-    a.add_argument("--txt", required=True)
-    a.add_argument("--pairs", required=True)
+    _add_corpus_flags(a)
     a.add_argument("--labels", help="gen-synth labels CSV for pcc against m")
     a.add_argument("--out")
     a.set_defaults(func=_cmd_analyze_pcc)
 
     a = asub.add_parser("removal-curve", help="R@1 after removing risky pairs")
-    a.add_argument("--ckpt", required=True)
-    a.add_argument("--vis", required=True)
-    a.add_argument("--txt", required=True)
-    a.add_argument("--pairs", required=True)
+    _add_corpus_flags(a)
     a.add_argument("--mode", choices=(UNCERTAINTY_MODE, RANDOM_MODE),
                    default=UNCERTAINTY_MODE)
     a.add_argument("--side", choices=(GALLERY_SIDE, QUERY_SIDE), default=GALLERY_SIDE)
@@ -537,10 +528,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ProtoUQError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ProtoUQError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,7 @@ matrix M has vision on rows and text on columns everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,7 +132,7 @@ class SimilarityMatrix:
         values = _as_float_matrix(self.values)
         if values.shape[0] < 1 or values.shape[1] < 1:
             raise EmptyMatrix("similarity matrix needs at least one row and column")
-        if np.any(np.abs(values) > 1.0 + 1e-9):
+        if values.max() > 1.0 + 1e-9 or values.min() < -1.0 - 1e-9:
             raise InvariantViolation("similarity entries must lie in [-1, 1]")
         values = np.ascontiguousarray(values)
         values.setflags(write=False)
@@ -173,39 +173,60 @@ def batch_means(m: SimilarityMatrix) -> tuple[np.ndarray, np.ndarray]:
     return values.mean(axis=1), values.mean(axis=0)
 
 
+def _grouped(keys: np.ndarray, partners: np.ndarray):
+    """Sort pairs by (key, partner) once: (distinct keys, starts, counts,
+    sorted partners), key i owning sorted[starts[i]:starts[i] + counts[i]]."""
+    order = np.lexsort((partners, keys))
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    return sorted_keys[starts], starts, np.diff(np.r_[starts, keys.size]), partners[order]
+
+
 @dataclass(frozen=True)
 class PairSet:
     """Ground-truth (vision_index, text_index) links, many-to-many allowed.
 
-    Index range and coverage depend on the embedding sets a PairSet is used
-    with, so those checks happen in check_against at the point of use.
+    ``pairs`` is built from any array-like of (v, t) rows and stored once,
+    as a read-only (n, 2) int64 array in the given order.  Bad rows are an
+    InvariantViolation, negative or beyond-int64 indices IndexOutOfRange,
+    and a repeated row DuplicatePair.  Index range and coverage depend on
+    the embedding sets a PairSet is used with, so those checks happen in
+    check_against at the point of use.
     """
 
-    pairs: tuple[tuple[int, int], ...] = field(default_factory=tuple)
+    pairs: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        cleaned = []
-        seen = set()
-        for entry in self.pairs:
-            v, t = int(entry[0]), int(entry[1])
-            if v < 0 or t < 0:
-                raise IndexOutOfRange(f"pair ({v}, {t}) has a negative index")
-            if (v, t) in seen:
-                raise DuplicatePair(f"pair ({v}, {t}) appears more than once")
-            seen.add((v, t))
-            cleaned.append((v, t))
-        object.__setattr__(self, "pairs", tuple(cleaned))
+        try:
+            rows = np.array(self.pairs, dtype=np.int64)
+        except OverflowError:
+            raise IndexOutOfRange("a pair index does not fit in int64") from None
+        except (TypeError, ValueError) as exc:
+            raise InvariantViolation(f"pairs must be (v, t) integer rows: {exc}") from None
+        if rows.size and rows.shape[1:] != (2,):
+            raise InvariantViolation(f"pairs must have shape (n, 2), got {rows.shape}")
+        rows = rows.reshape(-1, 2)
+        if rows.size and rows.min() < 0:
+            v, t = rows[rows.min(axis=1).argmin()].tolist()
+            raise IndexOutOfRange(f"pair ({v}, {t}) has a negative index")
+        ordered = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+        repeated = np.flatnonzero((ordered[1:] == ordered[:-1]).all(axis=1))
+        if repeated.size:
+            v, t = ordered[repeated[0]].tolist()
+            raise DuplicatePair(f"pair ({v}, {t}) appears more than once")
+        rows.setflags(write=False)
+        object.__setattr__(self, "pairs", rows)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.pairs.shape[0]
 
     @property
     def vision_indices(self) -> np.ndarray:
-        return np.array([v for v, _ in self.pairs], dtype=np.int64)
+        return self.pairs[:, 0]
 
     @property
     def text_indices(self) -> np.ndarray:
-        return np.array([t for _, t in self.pairs], dtype=np.int64)
+        return self.pairs[:, 1]
 
     def check_against(self, n_vision: int, n_text: int) -> None:
         """Validate ranges and coverage against concrete set sizes.
@@ -214,32 +235,27 @@ class PairSet:
             IndexOutOfRange: a pair points past either set.
             MissingPositive: some instance has no pair at all.
         """
-        if len(self.pairs) == 0:
+        if len(self) == 0:
             raise MissingPositive("pair set is empty")
-        vs = self.vision_indices
-        ts = self.text_indices
+        vs, ts = self.pairs.T
         if vs.max() >= n_vision or ts.max() >= n_text:
             raise IndexOutOfRange(
                 f"pair indices exceed set sizes ({n_vision} vision, {n_text} text)"
             )
-        if np.unique(vs).size != n_vision:
+        if not np.bincount(vs, minlength=n_vision).all():
             raise MissingPositive("some vision instance has no paired text")
-        if np.unique(ts).size != n_text:
+        if not np.bincount(ts, minlength=n_text).all():
             raise MissingPositive("some text instance has no paired vision")
 
     def texts_of(self) -> dict[int, np.ndarray]:
         """Map each vision index to its sorted array of paired text indices."""
-        out: dict[int, list[int]] = {}
-        for v, t in self.pairs:
-            out.setdefault(v, []).append(t)
-        return {v: np.array(sorted(ts), dtype=np.int64) for v, ts in out.items()}
+        visions, starts, _, texts = _grouped(self.vision_indices, self.text_indices)
+        return dict(zip(visions.tolist(), np.split(texts, starts[1:])))
 
     def visions_of(self) -> dict[int, np.ndarray]:
         """Map each text index to its sorted array of paired vision indices."""
-        out: dict[int, list[int]] = {}
-        for v, t in self.pairs:
-            out.setdefault(t, []).append(v)
-        return {t: np.array(sorted(vs), dtype=np.int64) for t, vs in out.items()}
+        texts, starts, _, visions = _grouped(self.text_indices, self.vision_indices)
+        return dict(zip(texts.tolist(), np.split(visions, starts[1:])))
 
 
 def aligned_batch(vis: EmbeddingSet, txt: EmbeddingSet) -> None:

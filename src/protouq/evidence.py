@@ -77,9 +77,7 @@ def generate_evidence(s, cfg: EvidenceConfig = EvidenceConfig()):
         out = np.where(scaled <= cfg.theta, np.log1p(np.exp(capped)) / cfg.gamma, arr)
     else:
         out = np.exp(arr / cfg.tau)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out
 
 
 def evidence_slope(s, cfg: EvidenceConfig = EvidenceConfig()):
@@ -97,9 +95,7 @@ def evidence_slope(s, cfg: EvidenceConfig = EvidenceConfig()):
         out = np.where(scaled <= cfg.theta, sigmoid, 1.0)
     else:
         out = np.exp(arr / cfg.tau) / cfg.tau
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)

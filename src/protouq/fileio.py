@@ -16,6 +16,7 @@ Pair files:        text, one "v_index<TAB>t_index" per line, 0-based.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass, field
@@ -54,9 +55,14 @@ _META_LEN = struct.Struct("<I")
 
 def _atomic_write(path, payload: bytes) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 class _Cursor:
@@ -171,7 +177,7 @@ def read_embeddings_csv(path, modality: str) -> EmbeddingSet:
 
 
 def write_pairs(pairs: PairSet, path) -> None:
-    body = "".join(f"{v}\t{t}\n" for v, t in pairs.pairs)
+    body = ("%d\t%d\n" * len(pairs)) % tuple(pairs.pairs.ravel().tolist())
     _atomic_write(path, body.encode("utf-8"))
 
 
@@ -181,17 +187,12 @@ def read_pairs(path) -> PairSet:
         text = line.rstrip("\r\n")
         if not text:
             continue
-        fields = text.split("\t")
-        if len(fields) != 2:
-            raise ParseError(
-                f"{path}:{lineno}: expected 'v<TAB>t', got {text!r}"
-            )
         try:
-            v, t = int(fields[0]), int(fields[1])
+            v, t = text.split("\t")
+            entries.append((int(v), int(t)))
         except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-integer index in {text!r}")
-        entries.append((v, t))
-    return PairSet(pairs=tuple(entries))
+            raise ParseError(f"{path}:{lineno}: expected 'v<TAB>t' integers, got {text!r}") from None
+    return PairSet(pairs=entries)
 
 
 # ---- checkpoints ----

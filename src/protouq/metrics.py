@@ -205,8 +205,7 @@ def removal_curve(
             f"cannot remove {counts[-1]} of {n_pairs} pairs and still have queries"
         )
 
-    vs = pairs.vision_indices
-    ts = pairs.text_indices
+    vs, ts = pairs.pairs.T
 
     def survivors(direction: str, r: int) -> np.ndarray:
         if mode == RANDOM_MODE:

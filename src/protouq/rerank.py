@@ -14,7 +14,7 @@ import numpy as np
 
 from .embed import PairSet, SimilarityMatrix
 from .errors import EmptyGrid, InvalidConfig, LengthMismatch
-from .metrics import T2V, V2T, evaluate_retrieval
+from .metrics import T2V, V2T, _values_of, evaluate_retrieval
 
 # 0.0, 0.25, ..., 5.0 inclusive
 DEFAULT_BETA_GRID = tuple(round(0.25 * i, 2) for i in range(21))
@@ -43,9 +43,7 @@ def apply_rerank(m, u_v, u_t, params: RerankParams) -> SimilarityMatrix:
     = 0 both factors are exactly 1.0 and the values pass through bit for
     bit.
     """
-    values = m.values if isinstance(m, SimilarityMatrix) else np.asarray(m, dtype=np.float64)
-    if values.ndim != 2:
-        raise LengthMismatch("similarity matrix must be 2-D")
+    values = _values_of(m)
     u_v = np.asarray(u_v, dtype=np.float64).ravel()
     u_t = np.asarray(u_t, dtype=np.float64).ravel()
     if u_v.size != values.shape[0] or u_t.size != values.shape[1]:
@@ -57,7 +55,9 @@ def apply_rerank(m, u_v, u_t, params: RerankParams) -> SimilarityMatrix:
         raise InvalidConfig("uncertainties must be nonnegative")
     row_scale = np.exp(-params.beta1 * u_v)
     col_scale = np.exp(-params.beta2 * u_t)
-    return SimilarityMatrix(values=row_scale[:, None] * values * col_scale[None, :])
+    out = row_scale[:, None] * values
+    out *= col_scale
+    return SimilarityMatrix(values=out)
 
 
 def fit_betas(

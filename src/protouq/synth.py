@@ -151,11 +151,8 @@ def generate_corpus(
         (spec.n_items * cpi, spec.d)
     )
 
-    pairs = PairSet(
-        pairs=tuple(
-            (i, i * cpi + c) for i in range(spec.n_items) for c in range(cpi)
-        )
-    )
+    captions = np.arange(spec.n_items * cpi)
+    pairs = PairSet(pairs=np.stack([captions // cpi, captions], axis=1))
     labels = AmbiguityLabels(
         counts=tuple(int(m) for m in ms), semantic_sets=chosen_sets
     )

@@ -22,6 +22,7 @@ from .embed import (
     TEXT,
     EmbeddingSet,
     PairSet,
+    _grouped,
     aligned_batch,
 )
 from .errors import (
@@ -330,16 +331,17 @@ def train(
     opt_v = opt_cls(z_v.shape, cfg.learning_rate)
     opt_t = opt_cls(z_t.shape, cfg.learning_rate)
 
-    texts_of = pairs.texts_of()
-    caption_lists = [texts_of[v] for v in range(vis.n)]
+    # Every vision index has a group (check_against), so item v's start is starts[v].
+    _, starts, counts, captions = _grouped(pairs.vision_indices, pairs.text_indices)
 
     records = []
     for epoch in range(cfg.epochs):
         order = sampler.permutation(vis.n)
-        chosen = np.empty(vis.n, dtype=np.int64)
-        for slot, v in enumerate(order):
-            options = caption_lists[v]
-            chosen[slot] = options[sampler.integers(options.size)] if options.size > 1 else options[0]
+        # One draw per item with several captions, in walk order.
+        options = counts[order]
+        pick = np.zeros(vis.n, dtype=np.int64)
+        pick[options > 1] = sampler.integers(options[options > 1])
+        chosen = captions[starts[order] + pick]
 
         sums = np.zeros(5)
         batches = 0

@@ -1,11 +1,12 @@
 """End-to-end command-line pipeline on a small generated corpus."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from protouq import read_checkpoint, read_embeddings
+from protouq import pearson, read_checkpoint, read_embeddings, uncertainty_scores
 from protouq.cli import run
 
 
@@ -214,6 +215,22 @@ class TestAnalyze:
         ]
         assert all(-1.0 <= float(r[2]) <= 1.0 for r in rows)
 
+    def test_pcc_caption_of_several_items_gets_their_mean_m(self, pipeline, tmp_path, capsys):
+        # Caption 0 belongs to items 0 (m = 1) and 1 (m = 2), so its m is 1.5.
+        pairs = tmp_path / "shared.tsv"
+        pairs.write_text(Path(pipeline["pairs"]).read_text() + "1\t0\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("item,m\n" + "".join(f"{i},{i % 4 + 1}\n" for i in range(40)))
+        assert run([
+            "analyze", "pcc", "--ckpt", pipeline["ckpt"], "--vis", pipeline["vis"],
+            "--txt", pipeline["txt"], "--pairs", str(pairs), "--labels", str(labels),
+        ]) == 0
+        ckpt = read_checkpoint(pipeline["ckpt"])
+        u_t = uncertainty_scores(read_embeddings(pipeline["txt"]), ckpt.bank_v, ckpt.evidence)
+        m_caps = np.repeat(np.arange(40) % 4 + 1.0, 2)
+        m_caps[0] = 1.5
+        assert f"pcc_u_m_text={pearson(u_t, m_caps):.6f}" in capsys.readouterr().out
+
     def test_removal_curve_default_fractions(self, pipeline, tmp_path, capsys):
         out_csv = tmp_path / "curve.csv"
         assert run([
@@ -258,6 +275,13 @@ class TestRuntimeErrors:
                     "--pairs", str(pairs)]) == 1
         assert_one_line_error(capsys)
 
+    def test_pairs_index_beyond_int64(self, pipeline, tmp_path, capsys):
+        pairs = tmp_path / "p.tsv"
+        pairs.write_text("0\t0\n2\t99999999999999999999\n")
+        assert run(["evaluate", "--vis", pipeline["vis"], "--txt", pipeline["txt"],
+                    "--pairs", str(pairs)]) == 1
+        assert_one_line_error(capsys)
+
     def test_non_finite_csv_embeddings(self, pipeline, tmp_path, capsys):
         rows = [[repr(float(x)) for x in row] for row in read_embeddings(pipeline["vis"]).vectors]
         rows[3][5] = "nan"
@@ -266,18 +290,20 @@ class TestRuntimeErrors:
         assert run(["score", "--ckpt", pipeline["ckpt"], "--vis", str(vis)]) == 1
         assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("labels", [
-        "item,m,semantics\n0,1,0\n40,2,1;2\n",
-        "item,semantics\n0,0\n",
-    ], ids=["item-out-of-range", "no-m-column"])
-    def test_bad_labels_csv(self, pipeline, tmp_path, capsys, labels):
+    @pytest.mark.parametrize("labels, names", [
+        ("item,m,semantics\n0,1,0\n40,2,1;2\n", "item 40"),
+        ("item,semantics\n0,0\n", "'m'"),
+        ("item,m,semantics\n0,1,0\n", "item 1 has no row"),
+    ], ids=["item-out-of-range", "no-m-column", "missing-items"])
+    def test_bad_labels_csv(self, pipeline, tmp_path, capsys, labels, names):
         path = tmp_path / "labels.csv"
         path.write_text(labels)
         assert run([
             "analyze", "pcc", "--ckpt", pipeline["ckpt"], "--vis", pipeline["vis"],
             "--txt", pipeline["txt"], "--pairs", pipeline["pairs"], "--labels", str(path),
         ]) == 1
-        assert_one_line_error(capsys)
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and names in err
 
 
 class TestUsageErrors:

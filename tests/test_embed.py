@@ -128,6 +128,10 @@ class TestSimilarityMatrix:
         with pytest.raises(InvariantViolation):
             SimilarityMatrix(values=np.array([[1.1]]))
 
+    def test_entries_below_minus_one_rejected(self):
+        with pytest.raises(InvariantViolation):
+            SimilarityMatrix(values=np.array([[0.5, -1.1], [0.0, 1.0]]))
+
     def test_float_slop_at_one_accepted(self):
         m = SimilarityMatrix(values=np.array([[1.0 + 5e-10]]))
         assert m.rows == 1 and m.cols == 1
@@ -212,10 +216,51 @@ class TestPairSet:
         assert visions[2].tolist() == [0, 1]
         assert len(ps) == 4
 
+    def test_lookup_tables_match_per_pair_loop(self):
+        rng = np.random.default_rng(30)
+        rows = {(int(v), int(t)) for v, t in rng.integers(0, [40, 60], size=(300, 2))}
+        ps = PairSet(pairs=[list(r) for r in rng.permutation(sorted(rows))])
+        for table, (key, partner) in ((ps.texts_of(), (0, 1)), (ps.visions_of(), (1, 0))):
+            ref = {}
+            for row in ps.pairs.tolist():
+                ref.setdefault(row[key], []).append(row[partner])
+            assert sorted(table) == sorted(ref)
+            for k, partners in ref.items():
+                assert table[k].dtype == np.int64 and table[k].tolist() == sorted(partners)
+
     def test_index_arrays_follow_insertion_order(self):
         ps = PairSet(pairs=((3, 1), (0, 2)))
         assert ps.vision_indices.tolist() == [3, 0]
         assert ps.text_indices.tolist() == [1, 2]
+
+    def test_non_adjacent_duplicate_rejected(self):
+        PairSet(pairs=((1, 2), (2, 1), (1, 0), (0, 2)))  # shared columns are fine
+        with pytest.raises(DuplicatePair, match=r"\(1, 2\)"):
+            PairSet(pairs=((1, 2), (0, 5), (1, 0), (3, 3), (2, 2), (1, 2)))
+
+    @pytest.mark.parametrize("rows", [((0, 1, 2),), ((0, 1), (2,)), (0, 1), (("a", "b"),)])
+    def test_malformed_rows_are_typed_errors(self, rows):
+        with pytest.raises(InvariantViolation):
+            PairSet(pairs=rows)
+
+    def test_index_beyond_int64_rejected(self):
+        with pytest.raises(IndexOutOfRange, match="int64"):
+            PairSet(pairs=((0, 0), (2, 10**20)))
+
+    def test_ndarray_input_is_copied_read_only_int64(self):
+        source = np.array([[0, 1], [1, 0]], dtype=np.int32)
+        ps = PairSet(pairs=source)
+        source[0, 0] = 7
+        assert ps.pairs.dtype == np.int64 and ps.pairs.shape == (2, 2)
+        assert ps.pairs.tolist() == [[0, 1], [1, 0]]
+        assert PairSet(pairs=ps.pairs).pairs.tolist() == [[0, 1], [1, 0]]
+        with pytest.raises(ValueError):
+            ps.pairs[0, 0] = 5
+        with pytest.raises(ValueError):
+            ps.vision_indices[0] = 5
+
+    def test_empty_pair_set_has_shape_0_by_2(self):
+        assert PairSet().pairs.shape == (0, 2) and len(PairSet(pairs=[])) == 0
 
 
 class TestAlignedBatch:

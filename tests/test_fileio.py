@@ -184,12 +184,12 @@ class TestPairsIO:
         pairs = PairSet(pairs=((0, 0), (0, 1), (3, 2)))
         path = tmp_path / "p.tsv"
         write_pairs(pairs, path)
-        assert read_pairs(path).pairs == pairs.pairs
+        assert read_pairs(path).pairs.tolist() == pairs.pairs.tolist()
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "p.tsv"
         path.write_text("0\t0\n\n1\t2\n")
-        assert read_pairs(path).pairs == ((0, 0), (1, 2))
+        assert read_pairs(path).pairs.tolist() == [[0, 0], [1, 2]]
 
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "p.tsv"
@@ -213,6 +213,12 @@ class TestPairsIO:
         path = tmp_path / "p.tsv"
         path.write_text("0\t-1\n")
         with pytest.raises(IndexOutOfRange):
+            read_pairs(path)
+
+    def test_index_beyond_int64(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        path.write_text("0\t0\n2\t99999999999999999999\n")
+        with pytest.raises(IndexOutOfRange, match="int64"):
             read_pairs(path)
 
     def test_non_utf8_bytes(self, tmp_path):
@@ -316,6 +322,14 @@ class TestCheckpointIO:
         path.write_bytes(blob[:-2] + b"\xff\n")
         with pytest.raises(ParseError, match="not UTF-8"):
             read_checkpoint(path)
+
+    def test_failed_write_leaves_no_tmp_file(self, tmp_path):
+        target = tmp_path / "target_dir"
+        target.mkdir()
+        with pytest.raises(OSError):
+            write_checkpoint(small_checkpoint(), target)
+        assert [p.name for p in tmp_path.iterdir()] == ["target_dir"]
+        assert list(target.iterdir()) == []
 
     def test_atomic_overwrite_and_no_tmp_residue(self, tmp_path):
         path = tmp_path / "m.paup"

@@ -6,10 +6,11 @@ not just the seeded examples the other test files pin down.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from protouq import (
     EvidenceConfig,
+    ProtoUQError,
     cosine,
     dirichlet_from_evidence,
     generate_evidence,
@@ -17,6 +18,7 @@ from protouq import (
     msvd_collision_logprob,
     normalize_rows,
     pearson,
+    read_pairs,
     softmax,
 )
 
@@ -141,3 +143,30 @@ def test_msvd_logprob_nonpositive_and_monotone_in_group(batch, group, extra):
     loose = msvd_collision_logprob(n, batch, group)
     assert tight <= 0.0 and loose <= 0.0
     assert tight <= loose + 1e-12
+
+
+pair_field = st.one_of(
+    st.integers(min_value=-1, max_value=3).map(lambda i: str(i).encode()),
+    st.integers(min_value=2**62, max_value=2**70).map(lambda i: str(i).encode()),
+    st.sampled_from([b"", b"x", b"1.5", b"\xff", b" 2", b"+1_0"]),
+)
+pairs_file_bytes = st.one_of(
+    st.binary(max_size=64),
+    st.lists(
+        st.tuples(pair_field, st.sampled_from([b"\t", b"\t", b"\t\t", b" "]), pair_field)
+        .map(b"".join),
+        max_size=4,
+    ).flatmap(lambda lines: st.sampled_from([b"\n", b"\r\n", b"\r"]).map(lambda nl: nl.join(lines))),
+)
+
+
+@given(pairs_file_bytes, st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=4))
+@example(b"0\t0\n2\t99999999999999999999\n", 3, 3)
+def test_any_pairs_file_raises_only_typed_errors(tmp_path_factory, blob, n_vision, n_text):
+    path = tmp_path_factory.mktemp("pairs") / "p.tsv"
+    path.write_bytes(blob)
+    try:
+        read_pairs(path).check_against(n_vision, n_text)
+    except ProtoUQError:
+        pass

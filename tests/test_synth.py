@@ -101,7 +101,7 @@ class TestGenerateCorpus:
         vis, txt, pairs, labels = generate_corpus(spec)
         assert vis.vectors.shape == (10, 16)
         assert txt.vectors.shape == (30, 16)
-        assert pairs.pairs == tuple((i, 3 * i + c) for i in range(10) for c in range(3))
+        assert pairs.pairs.tolist() == [[i, 3 * i + c] for i in range(10) for c in range(3)]
         assert len(labels.counts) == 10
 
     def test_bit_identical_for_equal_specs(self):
@@ -110,7 +110,7 @@ class TestGenerateCorpus:
         b_vis, b_txt, b_pairs, b_labels = generate_corpus(spec)
         assert np.array_equal(a_vis.vectors, b_vis.vectors)
         assert np.array_equal(a_txt.vectors, b_txt.vectors)
-        assert a_pairs.pairs == b_pairs.pairs
+        assert a_pairs.pairs.tolist() == b_pairs.pairs.tolist()
         assert a_labels == b_labels
 
     def test_different_seeds_differ(self):

@@ -1,5 +1,7 @@
 """Prototype banks, losses, analytic gradients, and the training loop."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,14 @@ from protouq.errors import (
     ModalityMismatch,
     ZeroPrototype,
 )
-from protouq.train import H_MAPPINGS, OPTIMIZERS, PrototypeBank, map_targets
+from protouq.train import (
+    H_MAPPINGS,
+    OPTIMIZERS,
+    PrototypeBank,
+    _AdamState,
+    _batch_gradients,
+    map_targets,
+)
 
 
 def unit_rows(n, d, seed, modality=VISION):
@@ -395,3 +404,73 @@ class TestTrain:
         pairs = PairSet(pairs=((0, 0), (1, 1), (2, 5)))
         with pytest.raises(IndexOutOfRange):
             train(vis, txt, pairs, TrainConfig(epochs=1, seed=0, k=2))
+
+
+def many_to_many_corpus():
+    """30 items with 1, 2 and 5 captions; every multi-caption item shares one
+    caption with the item before it, and the pairs come in shuffled order."""
+    rng = np.random.default_rng(80)
+    pairs, n_text = [], 0
+    for item in range(30):
+        own = [1, 1, 4][item % 3]
+        pairs += [(item, n_text + c) for c in range(own)]
+        if item % 3:
+            pairs.append((item, n_text - 1))
+        n_text += own
+    order = rng.permutation(len(pairs))
+    vis = unit_rows(30, 8, seed=81, modality=VISION)
+    txt = unit_rows(n_text, 8, seed=82, modality=TEXT)
+    return vis, txt, PairSet(pairs=[pairs[i] for i in order])
+
+
+def reference_train(vis, txt, pairs, cfg):
+    """Adam training with the per-item caption loop: one integers() draw per
+    item with several captions, walked in permutation order."""
+    caption_lists = {}
+    for v, t in pairs.pairs.tolist():
+        caption_lists.setdefault(v, []).append(t)
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(3)
+    z_v = np.array(init_prototypes(cfg.k, vis.d, int(seeds[0]), VISION).vectors)
+    z_t = np.array(init_prototypes(cfg.k, vis.d, int(seeds[1]), TEXT).vectors)
+    sampler = np.random.default_rng(int(seeds[2]))
+    opt_v = _AdamState(z_v.shape, cfg.learning_rate)
+    opt_t = _AdamState(z_t.shape, cfg.learning_rate)
+    batches = []
+    for _ in range(cfg.epochs):
+        order = sampler.permutation(vis.n)
+        chosen = np.empty(vis.n, dtype=np.int64)
+        for slot, v in enumerate(order):
+            options = sorted(caption_lists[int(v)])
+            chosen[slot] = options[sampler.integers(len(options))] if len(options) > 1 else options[0]
+        for start in range(0, vis.n, cfg.batch_size):
+            rows, cols = order[start:start + cfg.batch_size], chosen[start:start + cfg.batch_size]
+            if rows.size < 2:
+                continue
+            batches.append(cols)
+            grad_v, grad_t, _ = _batch_gradients(vis.vectors[rows], txt.vectors[cols], z_v, z_t, cfg)
+            opt_v.step(z_v, grad_v)
+            opt_t.step(z_t, grad_t)
+    return z_v, z_t, batches
+
+
+def test_caption_sampler_matches_per_item_reference(monkeypatch):
+    vis, txt, pairs = many_to_many_corpus()
+    counts = np.bincount(pairs.vision_indices)
+    assert sorted(set(counts.tolist())) == [1, 2, 5]
+    assert np.bincount(pairs.text_indices).max() == 2
+    cfg = TrainConfig(epochs=4, seed=9, k=4, batch_size=7, learning_rate=0.1)
+    ref_v, ref_t, ref_batches = reference_train(vis, txt, pairs, cfg)
+
+    seen = []
+
+    def recording(xv, xt, z_v, z_t, cfg):
+        seen.append(xt)
+        return _batch_gradients(xv, xt, z_v, z_t, cfg)
+
+    monkeypatch.setattr(importlib.import_module("protouq.train"), "_batch_gradients", recording)
+    bank_v, bank_t, _ = train(vis, txt, pairs, cfg)
+    assert len(seen) == len(ref_batches)
+    for xt, cols in zip(seen, ref_batches):
+        assert np.array_equal(xt, txt.vectors[cols])
+    assert np.array_equal(bank_v.vectors, ref_v)
+    assert np.array_equal(bank_t.vectors, ref_t)
