@@ -132,7 +132,7 @@ class SimilarityMatrix:
         values = _as_float_matrix(self.values)
         if values.shape[0] < 1 or values.shape[1] < 1:
             raise EmptyMatrix("similarity matrix needs at least one row and column")
-        if values.max() > 1.0 + 1e-9 or values.min() < -1.0 - 1e-9:
+        if not (values.max() <= 1.0 + 1e-9 and values.min() >= -1.0 - 1e-9):
             raise InvariantViolation("similarity entries must lie in [-1, 1]")
         values = np.ascontiguousarray(values)
         values.setflags(write=False)

@@ -118,8 +118,9 @@ def dirichlet_uncertainty(evidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """u = 1 - K / S with S = K + sum(e), over the last axis of an evidence array.
 
     The one place u is computed.  Returns (u, S) so that callers needing the
-    strength (the training gradient) reuse it; u is in [0, 1) for finite
-    nonnegative evidence.
+    strength (the training gradient) reuse it.  u is in [0, 1) for finite
+    nonnegative evidence while S < K * 2**54; from there float64 rounds u to
+    exactly 1.0 (S = K * 2**54 * (1 - 2**-52) still gives 1 - 2**-53).
     """
     k = evidence.shape[-1]
     strength = k + evidence.sum(axis=-1)
@@ -182,7 +183,11 @@ def uncertainty_scores(instances: EmbeddingSet, prototypes, cfg: EvidenceConfig)
 
     Returns:
         (n,) array of u values in [0, 1), one per instance row.  Raising
-        every similarity of an instance strictly raises its u.
+        every similarity of an instance strictly raises its u.  With K
+        equal similarities s and exponential evidence, u is exactly 1.0 from
+        s = tau * 54 * ln 2 (about 187 at tau = 5), and exp(s / tau)
+        overflows to inf, with a NumPy RuntimeWarning, from s = tau * 709.78
+        (about 3549).
     """
     bank_modality = getattr(prototypes, "modality", None)
     if bank_modality is not None and bank_modality == instances.modality:

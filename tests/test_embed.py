@@ -132,6 +132,10 @@ class TestSimilarityMatrix:
         with pytest.raises(InvariantViolation):
             SimilarityMatrix(values=np.array([[0.5, -1.1], [0.0, 1.0]]))
 
+    def test_nan_entry_rejected(self):
+        with pytest.raises(InvariantViolation):
+            SimilarityMatrix(values=np.array([[np.nan, 0.5], [0.2, 0.1]]))
+
     def test_float_slop_at_one_accepted(self):
         m = SimilarityMatrix(values=np.array([[1.0 + 5e-10]]))
         assert m.rows == 1 and m.cols == 1

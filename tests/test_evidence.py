@@ -6,6 +6,7 @@ alpha = e + 1, S = sum(alpha), b = e/S, u = 1 - K/S.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from protouq.errors import (
     ModalityMismatch,
     NegativeEvidence,
 )
-from protouq.evidence import evidence_slope, prototype_similarities
+from protouq.evidence import dirichlet_uncertainty, evidence_slope, prototype_similarities
 from protouq.train import PrototypeBank
 
 
@@ -160,6 +161,19 @@ class TestDirichletFromEvidence:
             dirichlet_from_evidence([1.0, float("nan")])
 
 
+class TestDirichletUncertainty:
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_u_is_one_from_strength_k_times_2_pow_54(self, k):
+        # float64 rounds 1 - K/S to 1.0 once K/S <= 2**-54; just below that
+        # strength u is still the largest double under 1
+        u, strength = dirichlet_uncertainty(np.full(k, 2.0**54))
+        assert strength == k * 2.0**54
+        assert u == 1.0
+        u, strength = dirichlet_uncertainty(np.full(k, 2.0**54 - 4.0))
+        assert strength == k * 2.0**54 * (1.0 - 2.0**-52)
+        assert u == 0.9999999999999999 == np.nextafter(1.0, 0.0)
+
+
 def basis_instances(rows, d, modality=VISION):
     eye = np.eye(d)
     return normalize_rows(eye[list(rows)], modality)
@@ -225,6 +239,24 @@ class TestUncertaintyScores:
         assert u_strong > u_weak
         assert u_strong == pytest.approx(0.539915, abs=1e-6)
         assert u_weak == pytest.approx(0.509999, abs=1e-6)
+
+    def test_float64_limits_of_exponential_evidence(self):
+        # K = 3 equal similarities s at tau = 5: u reaches 1.0 between
+        # s = 186 and s = 188 (tau * 54 * ln 2 = 187.1), and exp(s / tau)
+        # overflows between s = 3540 and s = 3560 (tau * 709.78 = 3548.9)
+        instances = basis_instances([0], 4)
+
+        def u_at(s):
+            bank = PrototypeBank(modality=TEXT, vectors=np.tile(s * np.eye(4)[0], (3, 1)))
+            return uncertainty_scores(instances, bank, EvidenceConfig())[0]
+
+        assert u_at(186.0) < 1.0
+        assert u_at(188.0) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert u_at(3540.0) == 1.0
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert u_at(3560.0) == 1.0
 
     def test_same_modality_bank_rejected(self):
         instances = basis_instances([0], 4)

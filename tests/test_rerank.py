@@ -13,6 +13,7 @@ from protouq import (
     evaluate_retrieval,
     fit_betas,
 )
+from protouq import rerank
 from protouq.errors import EmptyGrid, InvalidConfig, LengthMismatch
 from protouq.rerank import DEFAULT_BETA_GRID
 
@@ -79,6 +80,14 @@ class TestApplyRerank:
         with pytest.raises(InvalidConfig):
             apply_rerank(m, [-0.1, 0.0], [0.0, 0.0], RerankParams())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_uncertainty_rejected(self, bad):
+        m = SimilarityMatrix(values=np.zeros((2, 2)))
+        with pytest.raises(InvalidConfig):
+            apply_rerank(m, [bad, 0.1], [0.0, 0.0], RerankParams(beta1=1.0))
+        with pytest.raises(InvalidConfig):
+            apply_rerank(m, [0.0, 0.0], [0.1, bad], RerankParams())
+
     def test_shape_mismatch_rejected(self):
         m = SimilarityMatrix(values=np.zeros((2, 3)))
         with pytest.raises(LengthMismatch):
@@ -97,6 +106,52 @@ def hub_corpus():
     u_t = np.array([0.0, 0.0, 0.0, 0.8])
     pairs = PairSet(pairs=tuple((i, i) for i in range(4)))
     return SimilarityMatrix(values=values), u_v, u_t, pairs
+
+
+def mean_r1(m, pairs):
+    return 0.5 * (evaluate_retrieval(m, pairs, "t2v").r1 + evaluate_retrieval(m, pairs, "v2t").r1)
+
+
+def exhaustive_fit(m, u_v, u_t, pairs, grid=DEFAULT_BETA_GRID):
+    """Reference fit: every (beta1, beta2) on the grid, scored by mean R@1.
+
+    Both axes sweep in ascending order and a candidate must strictly
+    improve to displace the incumbent, so ties resolve to the smallest
+    beta1, then the smallest beta2.
+    """
+    candidates = sorted({float(g) for g in grid})
+    best_params, best_score = None, -np.inf
+    for b1 in candidates:
+        for b2 in candidates:
+            params = RerankParams(beta1=b1, beta2=b2)
+            score = mean_r1(apply_rerank(m, u_v, u_t, params), pairs)
+            if score > best_score:
+                best_score, best_params = score, params
+    return best_params
+
+
+def random_fit_case(rng):
+    """Small tie-heavy input: rounded scores and u, many-to-many pairs, and
+    an unsorted grid with duplicates that always contains 0."""
+    n_v, n_t = (int(n) for n in rng.integers(2, 12, size=2))
+    values = rng.uniform(-1.0, 1.0, size=(n_v, n_t))
+    # a few hub columns and rows score high against everything
+    values[:, rng.random(n_t) < 0.2] += 0.6
+    values[rng.random(n_v) < 0.2] += 0.6
+    values = np.round(np.clip(values, -1.0, 1.0), int(rng.integers(1, 3)))
+    u_v = np.round(rng.uniform(0.0, 1.0, n_v), 1)
+    u_t = np.round(rng.uniform(0.0, 1.0, n_t), 1)
+    # every instance has a partner, plus extra links
+    rows = np.concatenate([
+        np.column_stack([np.arange(n_v), rng.integers(0, n_t, n_v)]),
+        np.column_stack([rng.integers(0, n_v, n_t), np.arange(n_t)]),
+        np.column_stack([rng.integers(0, n_v, 4), rng.integers(0, n_t, 4)]),
+    ])
+    pairs = PairSet(pairs=np.unique(rows, axis=0))
+    steps = rng.choice(np.arange(1, 21), size=int(rng.integers(1, 7)))
+    grid = [0.0, *(0.25 * steps), *(0.25 * steps[:2])]
+    grid = [grid[i] for i in rng.permutation(len(grid))]
+    return SimilarityMatrix(values=values), u_v, u_t, pairs, grid
 
 
 class TestFitBetas:
@@ -169,3 +224,59 @@ class TestFitBetas:
         m, u_v, u_t, pairs = hub_corpus()
         with pytest.raises(InvalidConfig):
             fit_betas(m, u_v, u_t, pairs, grid=(0.0, -1.0))
+
+    def test_nan_uncertainty_rejected(self):
+        m, u_v, u_t, pairs = hub_corpus()
+        u_v = u_v.copy()
+        u_v[0] = np.nan
+        with pytest.raises(InvalidConfig):
+            fit_betas(m, u_v, u_t, pairs)
+
+    def test_two_rankings_per_distinct_grid_entry(self, monkeypatch):
+        calls = []
+        original = rerank.retrieval_ranks
+
+        def counting_ranks(m, pairs, direction):
+            calls.append(direction)
+            return original(m, pairs, direction)
+
+        monkeypatch.setattr(rerank, "retrieval_ranks", counting_ranks)
+        m, u_v, u_t, pairs = hub_corpus()
+        fit_betas(m, u_v, u_t, pairs, grid=(2.0, 0.0, 0.5, 2.0, 0.0))
+        assert sorted(calls) == ["t2v"] * 3 + ["v2t"] * 3
+        calls.clear()
+        fit_betas(m, u_v, u_t, pairs)
+        assert len(calls) == 2 * len(DEFAULT_BETA_GRID)
+
+    def test_each_axis_takes_its_smallest_maximizer(self):
+        # the hub corpus beside its transpose: text 3 hubs the v2t side and
+        # vision 7 hubs the t2v side, and on each axis every beta from 0.25
+        # to 3.5 fixes its hub, so both axes have several maximizers
+        m, u_v, u_t, _ = hub_corpus()
+        values = np.zeros((8, 8))
+        values[:4, :4] = m.values
+        values[4:, 4:] = m.values.T
+        m2 = SimilarityMatrix(values=values)
+        u_v2 = np.concatenate([u_v, u_t])
+        u_t2 = np.concatenate([u_t, u_v])
+        pairs = PairSet(pairs=tuple((i, i) for i in range(8)))
+        params = fit_betas(m2, u_v2, u_t2, pairs)
+        assert (params.beta1, params.beta2) == (0.25, 0.25)
+        assert params == exhaustive_fit(m2, u_v2, u_t2, pairs)
+        best = mean_r1(apply_rerank(m2, u_v2, u_t2, params), pairs)
+        assert best > mean_r1(m2, pairs)
+        for b1, b2 in [(0.25, 3.5), (3.5, 0.25), (1.0, 2.0)]:
+            other = apply_rerank(m2, u_v2, u_t2, RerankParams(beta1=b1, beta2=b2))
+            assert mean_r1(other, pairs) == best
+
+    def test_matches_exhaustive_reference(self):
+        rng = np.random.default_rng(85)
+        nonzero = [0, 0]
+        for _ in range(200):
+            m, u_v, u_t, pairs, grid = random_fit_case(rng)
+            params = fit_betas(m, u_v, u_t, pairs, grid=grid)
+            assert params == exhaustive_fit(m, u_v, u_t, pairs, grid)
+            nonzero[0] += params.beta1 > 0.0
+            nonzero[1] += params.beta2 > 0.0
+        # the inputs exercise both axes, not just the (0, 0) baseline
+        assert min(nonzero) >= 20, nonzero
