@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
 
 from .embed import TEXT, VISION, batch_means, similarity_matrix
-from .errors import ParseError, ProtoUQError
+from .errors import InvalidConfig, ParseError, ProtoUQError
 from .evidence import (
     EVIDENCE_KINDS,
     EvidenceConfig,
@@ -49,7 +50,7 @@ from .metrics import (
 )
 from .rerank import DEFAULT_BETA_GRID, RerankParams, apply_rerank, fit_betas
 from .synth import SyntheticSpec, generate_corpus
-from .train import H_MAPPINGS, OPTIMIZERS, TrainConfig, map_targets, train
+from .train import H_MAPPINGS, TrainConfig, map_targets, train
 
 
 def _load_embeddings(path, modality):
@@ -74,12 +75,11 @@ def _summary(command: str, **fields) -> None:
 
 
 def _cmd_gen_synth(args) -> int:
-    weights = tuple(float(w) for w in args.weights.split(","))
     spec = SyntheticSpec(
         n_items=args.n_items,
         d=args.d,
         k_true=args.k_true,
-        ambiguity_weights=weights,
+        ambiguity_weights=args.weights,
         noise_sigma=args.noise_sigma,
         captions_per_item=args.captions_per_item,
         seed=args.seed,
@@ -122,7 +122,6 @@ def _train_config(args) -> TrainConfig:
         evidence=EvidenceConfig(
             kind=args.evidence, gamma=args.gamma, theta=args.theta, tau=args.tau
         ),
-        optimizer=args.optimizer,
         h_mapping=args.h_mapping,
     )
 
@@ -145,7 +144,6 @@ def _cmd_train(args) -> int:
             "batch_size": str(cfg.batch_size),
             "learning_rate": repr(cfg.learning_rate),
             "lambda_div": repr(cfg.lambda_div),
-            "optimizer": cfg.optimizer,
             "h_mapping": cfg.h_mapping,
             "n_vision": str(vis.n),
             "n_text": str(txt.n),
@@ -197,15 +195,15 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _scored_corpus(args):
-    """Shared loader: embeddings, pairs, similarity, and, when --ckpt is
-    given, the checkpoint and both u vectors (else None for all three)."""
+def _scored_corpus(args, measure):
+    """Shared loader: embeddings, pairs, measure(vis, txt), and, when --ckpt
+    is given, the checkpoint and both u vectors (else None for all three)."""
     ckpt = read_checkpoint(args.ckpt) if args.ckpt else None
     vis = _load_embeddings(args.vis, VISION)
     txt = _load_embeddings(args.txt, TEXT)
     pairs = read_pairs(args.pairs)
     pairs.check_against(vis.n, txt.n)
-    m = similarity_matrix(vis, txt)
+    m = measure(vis, txt)
     if ckpt is None:
         return None, vis, txt, pairs, m, None, None
     u_v = uncertainty_scores(vis, ckpt.bank_t, ckpt.evidence)
@@ -234,14 +232,11 @@ def _mean_r1(reports) -> float:
 
 
 def _cmd_rerank(args) -> int:
-    ckpt, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args)
+    if not args.fit_betas and (args.grid, args.ckpt_out) != (None, None):
+        args.usage_error("--grid and --ckpt-out need --fit-betas")
+    ckpt, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args, similarity_matrix)
     if args.fit_betas:
-        grid = (
-            tuple(float(g) for g in args.grid.split(","))
-            if args.grid
-            else DEFAULT_BETA_GRID
-        )
-        params = fit_betas(m, u_v, u_t, pairs, grid=grid)
+        params = fit_betas(m, u_v, u_t, pairs, grid=args.grid or DEFAULT_BETA_GRID)
         if args.ckpt_out:
             write_checkpoint(
                 Checkpoint(
@@ -281,7 +276,7 @@ def _cmd_rerank(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    ckpt, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args)
+    ckpt, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args, similarity_matrix)
     rows = _report_rows(_reports(m, pairs))
     summary = {}
     for metric, direction, value in rows:
@@ -298,8 +293,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_analyze_pcc(args) -> int:
-    _, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args)
-    h_v, h_t = (map_targets(h) for h in batch_means(m))
+    _, vis, txt, pairs, means, u_v, u_t = _scored_corpus(args, batch_means)
+    h_v, h_t = (map_targets(h) for h in means)
     rows = [
         ("pcc_u_h", VISION, f"{pearson(u_v, h_v):.6f}"),
         ("pcc_u_h", TEXT, f"{pearson(u_t, h_t):.6f}"),
@@ -337,13 +332,13 @@ def _read_labels_column(path, n_items) -> np.ndarray:
 
 
 def _cmd_analyze_removal(args) -> int:
-    _, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args)
-    n_pairs = len(pairs)
-    if args.counts:
-        counts = [int(c) for c in args.counts.split(",")]
+    _, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args, similarity_matrix)
+    if args.counts is not None:
+        counts = args.counts
+    elif all(0.0 <= f <= 1.0 for f in args.fractions):
+        counts = [int(round(f * len(pairs))) for f in args.fractions]
     else:
-        fractions = [float(f) for f in args.fractions.split(",")]
-        counts = [int(round(f * n_pairs)) for f in fractions]
+        raise InvalidConfig("removal fractions must lie in [0, 1]")
     curve = removal_curve(
         m, u_v, u_t, pairs, counts, mode=args.mode, seed=args.seed, side=args.side
     )
@@ -410,6 +405,21 @@ def _cmd_analyze_msvd(args) -> int:
 # ---- parser ----
 
 
+def _comma_list(kind):
+    """argparse type= for a comma list of finite floats or ints."""
+
+    def parse(text):
+        try:
+            values = tuple(kind(item) for item in text.split(","))
+            if all(math.isfinite(v) for v in values):
+                return values
+        except (ValueError, OverflowError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected a comma list of finite {kind.__name__}s")
+
+    return parse
+
+
 def _add_corpus_flags(p: argparse.ArgumentParser, ckpt_help=None, ckpt_required=True) -> None:
     for flag in ("--vis", "--txt", "--pairs"):
         p.add_argument(flag, required=True)
@@ -422,7 +432,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", type=int, default=256)
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--lambda-div", type=float, default=1.0)
-    p.add_argument("--optimizer", choices=sorted(OPTIMIZERS), default="adam")
     p.add_argument("--h-mapping", choices=sorted(H_MAPPINGS), default="clamp")
     p.add_argument("--beta1", type=float, default=0.0, help="stored rerank weight")
     p.add_argument("--beta2", type=float, default=0.0, help="stored rerank weight")
@@ -450,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-items", type=int, default=2000)
     p.add_argument("--d", type=int, default=64)
     p.add_argument("--k-true", type=int, default=8)
-    p.add_argument("--weights", default="0.25,0.25,0.25,0.25",
+    p.add_argument("--weights", type=_comma_list(float), default="0.25,0.25,0.25,0.25",
                    help="comma weights for m=1,2,...")
     p.add_argument("--noise-sigma", type=float, default=0.05)
     p.add_argument("--captions-per-item", type=int, default=2)
@@ -476,13 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p)
     p.add_argument("--fit-betas", action="store_true",
                    help="grid-fit betas on the given (validation) data")
-    p.add_argument("--grid", help="comma list of beta candidates")
+    p.add_argument("--grid", type=_comma_list(float), help="comma list of beta candidates")
     p.add_argument("--beta1", type=float)
     p.add_argument("--beta2", type=float)
     p.add_argument("--ckpt-out", help="write checkpoint with fitted betas")
     p.add_argument("--out", help="before/after report CSV")
     p.add_argument("--out-matrix", help="re-ranked similarity matrix CSV")
-    p.set_defaults(func=_cmd_rerank)
+    p.set_defaults(func=_cmd_rerank, usage_error=p.error)
 
     p = sub.add_parser("evaluate", help="retrieval metrics for a corpus")
     _add_corpus_flags(p, ckpt_help="also evaluate re-ranked with stored betas", ckpt_required=False)
@@ -503,8 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--mode", choices=(UNCERTAINTY_MODE, RANDOM_MODE),
                    default=UNCERTAINTY_MODE)
     a.add_argument("--side", choices=(GALLERY_SIDE, QUERY_SIDE), default=GALLERY_SIDE)
-    a.add_argument("--counts", help="comma list of pair counts to remove")
-    a.add_argument("--fractions", default="0.05,0.1,0.2,0.3",
+    a.add_argument("--counts", type=_comma_list(int),
+                   help="comma list of pair counts to remove")
+    a.add_argument("--fractions", type=_comma_list(float), default="0.05,0.1,0.2,0.3",
                    help="comma list of pair fractions (used when --counts absent)")
     a.add_argument("--seed", type=int, default=0, help="random-mode draw seed")
     a.add_argument("--out")

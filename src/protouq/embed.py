@@ -147,30 +147,37 @@ class SimilarityMatrix:
         return self.values.shape[1]
 
 
-def similarity_matrix(vis: EmbeddingSet, txt: EmbeddingSet) -> SimilarityMatrix:
-    """Full cosine matrix between a vision set (rows) and a text set (columns)."""
+def _check_cross_modal(vis: EmbeddingSet, txt: EmbeddingSet) -> None:
     if vis.modality != VISION or txt.modality != TEXT:
         raise ModalityMismatch(
             f"expected (vision, text), got ({vis.modality}, {txt.modality})"
         )
     if vis.d != txt.d:
         raise DimensionMismatch(f"dimension mismatch: {vis.d} vs {txt.d}")
+
+
+def similarity_matrix(vis: EmbeddingSet, txt: EmbeddingSet) -> SimilarityMatrix:
+    """Full cosine matrix between a vision set (rows) and a text set (columns)."""
+    _check_cross_modal(vis, txt)
     values = vis.vectors @ txt.vectors.T
     np.clip(values, -1.0, 1.0, out=values)
     return SimilarityMatrix(values=values)
 
 
-def batch_means(m: SimilarityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row and per-column means of a similarity matrix.
+def _batch_means(xv: np.ndarray, xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column means of xv @ xt.T, as xv . mean(xt) and xt . mean(xv),
+    clipped to [-1, 1] against rounding: O((n_v + n_t) d), no matrix."""
+    h_v = xv @ xt.mean(axis=0)
+    h_t = xt @ xv.mean(axis=0)
+    return np.clip(h_v, -1.0, 1.0, out=h_v), np.clip(h_t, -1.0, 1.0, out=h_t)
 
-    Returns:
-        (h_v, h_t): h_v[i] is the mean similarity of vision instance i over
-        all columns; h_t[j] the mean of text instance j over all rows.
-    """
-    values = m.values
-    if values.size == 0:
-        raise EmptyMatrix("means of an empty matrix are undefined")
-    return values.mean(axis=1), values.mean(axis=0)
+
+def batch_means(vis: EmbeddingSet, txt: EmbeddingSet) -> tuple[np.ndarray, np.ndarray]:
+    """(h_v, h_t): the row and column means of similarity_matrix(vis, txt),
+    up to rounding, without forming it.  h_v[i] is vision instance i's mean
+    similarity over all texts; h_t[j] text instance j's over all visions."""
+    _check_cross_modal(vis, txt)
+    return _batch_means(vis.vectors, txt.vectors)
 
 
 def _grouped(keys: np.ndarray, partners: np.ndarray):

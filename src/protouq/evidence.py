@@ -132,8 +132,9 @@ def dirichlet_from_evidence(e, k: int | None = None) -> DirichletState:
 
     alpha = e + 1, S = sum(alpha), b = e / S, psi = K / S, u = 1 - psi.
     The masses satisfy sum(b) + psi = 1 with every component nonnegative,
-    and u is always in [0, 1).  k, when given, must equal len(e); it is
-    otherwise inferred.
+    and u is in [0, 1) up to the float64 limit dirichlet_uncertainty
+    documents (u == 1.0 from S >= K * 2**54).  k, when given, must equal
+    len(e); it is otherwise inferred.
 
     Raises:
         EmptyVector: e has no entries, or k disagrees with len(e).

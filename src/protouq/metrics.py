@@ -66,6 +66,22 @@ def _values_of(m) -> np.ndarray:
     return values
 
 
+def _values_and_uncertainties(m, u_v, u_t):
+    """The matrix values, then u_v and u_t as float vectors with one finite,
+    nonnegative entry per row and per column."""
+    values = _values_of(m)
+    u_v = np.asarray(u_v, dtype=np.float64).ravel()
+    u_t = np.asarray(u_t, dtype=np.float64).ravel()
+    if u_v.size != values.shape[0] or u_t.size != values.shape[1]:
+        raise LengthMismatch(
+            f"uncertainty lengths ({u_v.size}, {u_t.size}) "
+            f"do not match matrix shape {values.shape}"
+        )
+    if not all(np.all(np.isfinite(u) & (u >= 0.0)) for u in (u_v, u_t)):
+        raise InvalidConfig("uncertainties must be finite and nonnegative")
+    return values, u_v, u_t
+
+
 def _best_positive_ranks(scores: np.ndarray, query, gallery) -> np.ndarray:
     """Rank of every query's best positive, for queries 0..n-1 on the rows.
 
@@ -184,11 +200,7 @@ def removal_curve(
     directions.  A removed pair takes its query with it, so the point at
     count r scores exactly n_pairs - r queries per direction.
     """
-    values = _values_of(m)
-    u_v = np.asarray(u_v, dtype=np.float64).ravel()
-    u_t = np.asarray(u_t, dtype=np.float64).ravel()
-    if u_v.size != values.shape[0] or u_t.size != values.shape[1]:
-        raise LengthMismatch("uncertainty vectors must match the matrix shape")
+    values, u_v, u_t = _values_and_uncertainties(m, u_v, u_t)
     if mode not in (UNCERTAINTY_MODE, RANDOM_MODE):
         raise InvalidConfig(f"unknown removal mode {mode!r}")
     if side not in (GALLERY_SIDE, QUERY_SIDE):

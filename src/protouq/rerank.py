@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embed import PairSet, SimilarityMatrix
-from .errors import EmptyGrid, InvalidConfig, LengthMismatch
-from .metrics import T2V, V2T, _values_of, retrieval_ranks
+from .errors import EmptyGrid, InvalidConfig
+from .metrics import T2V, V2T, _values_and_uncertainties, retrieval_ranks
 
 # 0.0, 0.25, ..., 5.0 inclusive
 DEFAULT_BETA_GRID = tuple(round(0.25 * i, 2) for i in range(21))
@@ -43,16 +43,7 @@ def apply_rerank(m, u_v, u_t, params: RerankParams) -> SimilarityMatrix:
     = 0 both factors are exactly 1.0 and the values pass through bit for
     bit.
     """
-    values = _values_of(m)
-    u_v = np.asarray(u_v, dtype=np.float64).ravel()
-    u_t = np.asarray(u_t, dtype=np.float64).ravel()
-    if u_v.size != values.shape[0] or u_t.size != values.shape[1]:
-        raise LengthMismatch(
-            f"uncertainty lengths ({u_v.size}, {u_t.size}) "
-            f"do not match matrix shape {values.shape}"
-        )
-    if not all(np.all(np.isfinite(u) & (u >= 0.0)) for u in (u_v, u_t)):
-        raise InvalidConfig("uncertainties must be finite and nonnegative")
+    values, u_v, u_t = _values_and_uncertainties(m, u_v, u_t)
     row_scale = np.exp(-params.beta1 * u_v)
     col_scale = np.exp(-params.beta2 * u_t)
     out = row_scale[:, None] * values

@@ -5,10 +5,9 @@ banks so that the uncertainty of an instance (scored against the other
 modality's bank) regresses onto that instance's mean cosine similarity
 across the batch, while a diversity penalty keeps the prototypes of each
 bank from collapsing onto one direction.  Everything is plain numpy with
-analytic gradients; the optimizer is a from-scratch Adam (or SGD for
-debugging).  Prototypes are never renormalized after an update: their
-norm is a learnable scale that the evidence functions see through the
-dot product.
+analytic gradients; the optimizer is a hand-written Adam.  Prototypes
+are never renormalized after an update: their norm is a learnable scale
+that the evidence functions see through the dot product.
 """
 
 from __future__ import annotations
@@ -22,6 +21,8 @@ from .embed import (
     TEXT,
     EmbeddingSet,
     PairSet,
+    _batch_means,
+    _check_cross_modal,
     _grouped,
     aligned_batch,
 )
@@ -36,10 +37,6 @@ from .errors import (
     ZeroPrototype,
 )
 from .evidence import EvidenceConfig, dirichlet_uncertainty, evidence_slope, generate_evidence
-
-ADAM = "adam"
-SGD = "sgd"
-OPTIMIZERS = (ADAM, SGD)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -104,8 +101,8 @@ class TrainConfig:
     """Hyperparameters for prototype training.
 
     h_mapping selects how raw batch-mean cosines become regression targets:
-    "clamp" (default) clips to [0, 1]; "affine" maps via (h + 1) / 2 and is
-    kept only as an escape hatch for experiments.
+    "clamp" (default) clips to [0, 1]; "affine" maps via (h + 1) / 2, which
+    keeps negative means apart instead of clipping them all to 0.
     """
 
     epochs: int
@@ -115,7 +112,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     lambda_div: float = 1.0
     evidence: EvidenceConfig = field(default_factory=EvidenceConfig)
-    optimizer: str = ADAM
     h_mapping: str = H_CLAMP
 
     def __post_init__(self) -> None:
@@ -129,8 +125,6 @@ class TrainConfig:
             raise InvalidConfig(f"learning_rate must be positive, got {self.learning_rate}")
         if not np.isfinite(self.lambda_div) or self.lambda_div < 0.0:
             raise InvalidConfig(f"lambda_div must be >= 0, got {self.lambda_div}")
-        if self.optimizer not in OPTIMIZERS:
-            raise InvalidConfig(f"unknown optimizer {self.optimizer!r}")
         if self.h_mapping not in H_MAPPINGS:
             raise InvalidConfig(f"unknown h_mapping {self.h_mapping!r}")
 
@@ -251,12 +245,12 @@ def gradients(
 ) -> tuple[np.ndarray, np.ndarray, BatchLosses]:
     """Analytic gradients of the total loss for one aligned batch.
 
-    The batch similarity matrix M supplies the targets: row means for
-    vision instances, column means for text instances, both mapped into
-    [0, 1].  Vision uncertainty is scored against the text bank and text
-    uncertainty against the vision bank, so the uncertainty terms push
-    gradients into the opposite modality's prototypes.  The diversity
-    penalty differentiates against each bank directly.
+    The targets are each instance's mean cosine similarity to the other
+    modality's batch (embed.batch_means), mapped into [0, 1].  Vision
+    uncertainty is scored against the text bank and text uncertainty
+    against the vision bank, so the uncertainty terms push gradients into
+    the opposite modality's prototypes.  The diversity penalty
+    differentiates against each bank directly.
 
     Returns:
         (grad_v, grad_t, losses) where grad_v has bank_v's shape and
@@ -288,14 +282,6 @@ class _AdamState:
         params -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-class _SgdState:
-    def __init__(self, shape: tuple[int, ...], lr: float):
-        self.lr = lr
-
-    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
-        params -= self.lr * grad
-
-
 def train(
     vis: EmbeddingSet,
     txt: EmbeddingSet,
@@ -310,12 +296,7 @@ def train(
     (the batch loss needs at least two instances).  All randomness flows
     from cfg.seed, so identical configs give identical banks.
     """
-    if vis.modality != VISION or txt.modality != TEXT:
-        raise ModalityMismatch(
-            f"expected (vision, text), got ({vis.modality}, {txt.modality})"
-        )
-    if vis.d != txt.d:
-        raise DimensionMismatch(f"dimension mismatch: {vis.d} vs {txt.d}")
+    _check_cross_modal(vis, txt)
     pairs.check_against(vis.n, txt.n)
     if len(pairs) < 2:
         raise InsufficientPairs("training needs at least 2 pairs")
@@ -327,9 +308,8 @@ def train(
 
     z_v = np.array(bank_v.vectors)
     z_t = np.array(bank_t.vectors)
-    opt_cls = _AdamState if cfg.optimizer == ADAM else _SgdState
-    opt_v = opt_cls(z_v.shape, cfg.learning_rate)
-    opt_t = opt_cls(z_t.shape, cfg.learning_rate)
+    opt_v = _AdamState(z_v.shape, cfg.learning_rate)
+    opt_t = _AdamState(z_t.shape, cfg.learning_rate)
 
     # Every vision index has a group (check_against), so item v's start is starts[v].
     _, starts, counts, captions = _grouped(pairs.vision_indices, pairs.text_indices)
@@ -379,10 +359,7 @@ def _batch_gradients(
     cfg: TrainConfig,
 ) -> tuple[np.ndarray, np.ndarray, BatchLosses]:
     """gradients() on raw arrays; the hot path inside the epoch loop."""
-    m = xv @ xt.T
-    np.clip(m, -1.0, 1.0, out=m)
-    h_v = map_targets(m.mean(axis=1), cfg.h_mapping)
-    h_t = map_targets(m.mean(axis=0), cfg.h_mapping)
+    h_v, h_t = (map_targets(h, cfg.h_mapping) for h in _batch_means(xv, xt))
     uct_v, grad_t_uct = _uct_value_grads(xv, z_t, h_v, cfg.evidence)
     uct_t, grad_v_uct = _uct_value_grads(xt, z_v, h_t, cfg.evidence)
     div_v, grad_v_div = _div_value_grad(z_v)

@@ -164,7 +164,7 @@ def test_criterion_05_uncertainty_correlates_with_ambiguity(capsys):
     bank_v, bank_t, _ = train(vis, txt, pairs, cfg)
     u_v = uncertainty_scores(vis, bank_t, cfg.evidence)
     u_t = uncertainty_scores(txt, bank_v, cfg.evidence)
-    h_v, h_t = (map_targets(h) for h in batch_means(similarity_matrix(vis, txt)))
+    h_v, h_t = (map_targets(h) for h in batch_means(vis, txt))
     m_items = np.array(labels.counts, dtype=float)
     m_caps = np.repeat(m_items, DEFAULT_CORPUS_SPEC.captions_per_item)
     r_uh = (pearson(u_v, h_v), pearson(u_t, h_t))

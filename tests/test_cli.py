@@ -198,6 +198,20 @@ class TestRerank:
         assert header == [f"t{j}" for j in range(80)]
         assert len(rows) == 40
 
+    @pytest.mark.parametrize("flag, value", [("--ckpt-out", "fitted.paup"), ("--grid", "0,1")])
+    def test_fit_only_flag_without_fit_betas_is_usage_error(
+        self, pipeline, tmp_path, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run([
+                "rerank", "--ckpt", pipeline["ckpt"], "--vis", pipeline["vis"],
+                "--txt", pipeline["txt"], "--pairs", pipeline["pairs"],
+                flag, str(tmp_path / value) if flag == "--ckpt-out" else value,
+            ])
+        assert exc.value.code == 2
+        assert "need --fit-betas" in capsys.readouterr().err
+        assert not (tmp_path / "fitted.paup").exists()
+
 
 class TestAnalyze:
     def test_pcc_with_labels(self, pipeline, tmp_path):
@@ -214,6 +228,18 @@ class TestAnalyze:
             ("pcc_u_m", "vision"), ("pcc_u_m", "text"),
         ]
         assert all(-1.0 <= float(r[2]) <= 1.0 for r in rows)
+
+    def test_pcc_builds_no_similarity_matrix(self, pipeline, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze pcc built a similarity matrix")
+
+        monkeypatch.setattr("protouq.cli.similarity_matrix", refuse)
+        assert run([
+            "analyze", "pcc", "--ckpt", pipeline["ckpt"], "--vis", pipeline["vis"],
+            "--txt", pipeline["txt"], "--pairs", pipeline["pairs"],
+            "--labels", pipeline["labels"],
+        ]) == 0
+        assert capsys.readouterr().out.startswith("analyze-pcc pcc_u_h_vision=")
 
     def test_pcc_caption_of_several_items_gets_their_mean_m(self, pipeline, tmp_path, capsys):
         # Caption 0 belongs to items 0 (m = 1) and 1 (m = 2), so its m is 1.5.
@@ -306,6 +332,10 @@ class TestRuntimeErrors:
         assert err.startswith("error:") and err.count("\n") == 1 and names in err
 
 
+# Files that do not exist: a command that parsed would exit 1, not 2.
+CORPUS_ARGS = ("--vis", "v", "--txt", "t", "--pairs", "p", "--ckpt", "c")
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -315,6 +345,14 @@ class TestUsageErrors:
             ["train", "--vis", "v", "--txt", "t", "--pairs", "p", "--ckpt", "c"],
             ["analyze"],
             ["evaluate", "--vis", "v", "--txt", "t", "--pairs", "p", "--threads", "2"],
+            ["train", "--vis", "v", "--txt", "t", "--pairs", "p", "--ckpt", "c",
+             "--epochs", "1", "--optimizer", "adam"],
+            ["rerank", *CORPUS_ARGS, "--fit-betas", "--grid", "0,x"],
+            ["gen-synth", "--vis", "v", "--txt", "t", "--pairs", "p", "--weights", "1,y"],
+            ["analyze", "removal-curve", *CORPUS_ARGS, "--counts", "1,z"],
+            ["analyze", "removal-curve", *CORPUS_ARGS, "--fractions", "nan"],
+            ["analyze", "removal-curve", *CORPUS_ARGS, "--fractions", "inf"],
+            ["analyze", "removal-curve", *CORPUS_ARGS, "--fractions", "0.1,,0.2"],
         ],
     )
     def test_argparse_exits_2(self, argv):

@@ -174,16 +174,38 @@ class TestSimilarityMatrixBuilder:
 
 
 class TestBatchMeans:
-    def test_matches_loop_means(self):
-        rng = np.random.default_rng(13)
-        values = rng.uniform(-1.0, 1.0, size=(5, 7))
-        h_v, h_t = batch_means(SimilarityMatrix(values=values))
-        assert np.allclose(h_v, [values[i].mean() for i in range(5)], atol=1e-15)
-        assert np.allclose(h_t, [values[:, j].mean() for j in range(7)], atol=1e-15)
+    def test_matches_matrix_means(self):
+        for n_v, n_t in ((5, 7), (1, 9), (8, 1), (1, 1), (300, 40)):
+            vis = unit_rows(n_v, 16, seed=13 + n_v, modality=VISION)
+            txt = unit_rows(n_t, 16, seed=14 + n_t, modality=TEXT)
+            m = np.clip(vis.vectors @ txt.vectors.T, -1.0, 1.0)
+            h_v, h_t = batch_means(vis, txt)
+            assert np.max(np.abs(h_v - m.mean(axis=1))) <= 1e-15
+            assert np.max(np.abs(h_t - m.mean(axis=0))) <= 1e-15
 
     def test_shapes(self):
-        h_v, h_t = batch_means(SimilarityMatrix(values=np.zeros((3, 8))))
-        assert h_v.shape == (3,) and h_t.shape == (8,)
+        h_v, h_t = batch_means(unit_rows(1, 8, seed=15), unit_rows(3, 8, seed=16, modality=TEXT))
+        assert h_v.shape == (1,) and h_t.shape == (3,)
+
+    def test_identical_rows_stay_within_one(self):
+        row = normalize_rows(np.ones((1, 3)), VISION).vectors
+        vis = EmbeddingSet(modality=VISION, vectors=np.repeat(row, 4, axis=0))
+        txt = EmbeddingSet(modality=TEXT, vectors=np.repeat(row, 6, axis=0))
+        # Unclipped, x_v . mean(x_t) rounds to 1 + 2**-52 on both sides here.
+        h_v, h_t = batch_means(vis, txt)
+        assert np.all(np.abs(h_v) <= 1.0) and np.all(np.abs(h_t) <= 1.0)
+
+    def test_modality_order_enforced(self):
+        vis = unit_rows(3, 4, seed=9, modality=VISION)
+        txt = unit_rows(3, 4, seed=10, modality=TEXT)
+        with pytest.raises(ModalityMismatch):
+            batch_means(txt, vis)
+
+    def test_dimension_mismatch(self):
+        vis = unit_rows(3, 4, seed=11, modality=VISION)
+        txt = unit_rows(3, 6, seed=12, modality=TEXT)
+        with pytest.raises(DimensionMismatch):
+            batch_means(vis, txt)
 
 
 class TestPairSet:

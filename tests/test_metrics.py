@@ -314,6 +314,16 @@ class TestRemovalCurve:
         with pytest.raises(LengthMismatch):
             removal_curve(values, np.zeros(3), np.zeros(4), pairs, [1])
 
+    @pytest.mark.parametrize("mode", ["uncertainty", "random"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -5.0])
+    @pytest.mark.parametrize("on_vision", [True, False], ids=["u_v", "u_t"])
+    def test_non_finite_or_negative_uncertainty_rejected(self, mode, bad, on_vision):
+        values, pairs = hub_matrix()
+        u = np.array([bad, 0.1, 0.2, 0.3])
+        u_v, u_t = (u, np.zeros(4)) if on_vision else (np.zeros(4), u)
+        with pytest.raises(InvalidConfig, match="finite and nonnegative"):
+            removal_curve(values, u_v, u_t, pairs, [1], mode=mode)
+
 
 class TestEntropy:
     def test_uniform_four(self):

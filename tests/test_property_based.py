@@ -21,6 +21,7 @@ from protouq import (
     read_pairs,
     softmax,
 )
+from protouq.cli import run
 
 settings.register_profile("suite", deadline=None, max_examples=200)
 settings.load_profile("suite")
@@ -170,3 +171,46 @@ def test_any_pairs_file_raises_only_typed_errors(tmp_path_factory, blob, n_visio
         read_pairs(path).check_against(n_vision, n_text)
     except ProtoUQError:
         pass
+
+
+@pytest.fixture(scope="module")
+def cli_corpus(tmp_path_factory):
+    """A tiny generated corpus and checkpoint for the CLI fuzz test."""
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    corpus = ["--vis", str(root / "v.paue"), "--txt", str(root / "t.paue"),
+              "--pairs", str(root / "p.tsv")]
+    assert run(["gen-synth", *corpus, "--n-items", "12", "--d", "8", "--k-true", "4"]) == 0
+    ckpt = ["--ckpt", str(root / "m.paup")]
+    assert run(["train", *corpus, *ckpt, "--epochs", "1", "--k", "3"]) == 0
+    return root, [*corpus, *ckpt]
+
+
+comma_list_text = st.one_of(
+    st.text(max_size=24),
+    st.lists(
+        st.one_of(st.floats(), st.integers(min_value=-3, max_value=40), st.text(max_size=3)),
+        min_size=1, max_size=6,
+    ).map(lambda items: ",".join(map(str, items))),
+)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["--grid", "--weights", "--counts", "--fractions"]), comma_list_text)
+@example("--fractions", "1e308")
+@example("--fractions", "0.1,,0.2")
+@example("--counts", "1" + "0" * 400)
+@example("--weights", "1e308,1e308")
+def test_any_comma_list_flag_value_exits_0_1_or_2(cli_corpus, flag, text):
+    root, corpus = cli_corpus
+    argv = {
+        "--grid": ["rerank", *corpus, "--fit-betas", "--grid", text],
+        "--weights": ["gen-synth", "--vis", str(root / "gv"), "--txt", str(root / "gt"),
+                      "--pairs", str(root / "gp"), "--n-items", "6", "--d", "4",
+                      "--k-true", "4", "--weights", text],
+        "--counts": ["analyze", "removal-curve", *corpus, "--counts", text],
+        "--fractions": ["analyze", "removal-curve", *corpus, "--fractions", text],
+    }[flag]
+    try:
+        assert run(argv) in (0, 1)
+    except SystemExit as exc:
+        assert exc.code == 2

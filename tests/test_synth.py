@@ -163,5 +163,5 @@ class TestGenerateCorpus:
         # mean cosine similarity row rises with m
         spec = SyntheticSpec(n_items=300, d=64, k_true=8, seed=7)
         vis, txt, pairs, labels = generate_corpus(spec)
-        h_v, _ = batch_means(similarity_matrix(vis, txt))
+        h_v, _ = batch_means(vis, txt)
         assert pearson(h_v, np.array(labels.counts, dtype=float)) > 0.8

@@ -13,6 +13,7 @@ from protouq import (
     SyntheticSpec,
     TrainConfig,
     generate_corpus,
+    generate_evidence,
     gradients,
     init_prototypes,
     loss_div,
@@ -31,9 +32,9 @@ from protouq.errors import (
     ModalityMismatch,
     ZeroPrototype,
 )
+from protouq.evidence import dirichlet_uncertainty
 from protouq.train import (
     H_MAPPINGS,
-    OPTIMIZERS,
     PrototypeBank,
     _AdamState,
     _batch_gradients,
@@ -105,8 +106,8 @@ class TestTrainConfig:
             {"learning_rate": 0.0},
             {"learning_rate": -1.0},
             {"lambda_div": -0.5},
-            {"optimizer": "lbfgs"},
             {"h_mapping": "sigmoid"},
+            {"learning_rate": float("nan")},
         ],
     )
     def test_bad_values_rejected(self, overrides):
@@ -116,7 +117,6 @@ class TestTrainConfig:
             TrainConfig(**base)
 
     def test_known_option_lists(self):
-        assert set(OPTIMIZERS) == {"adam", "sgd"}
         assert set(H_MAPPINGS) == {"clamp", "affine"}
 
 
@@ -273,6 +273,22 @@ class TestGradients:
             abs=1e-15,
         )
 
+    @pytest.mark.parametrize("h_mapping", H_MAPPINGS)
+    def test_batch_losses_match_matrix_built_targets(self, h_mapping):
+        cfg = TrainConfig(epochs=1, seed=0, k=4, h_mapping=h_mapping)
+        rng = np.random.default_rng(54)
+        # A shared offset spreads the mean similarities over negative and positive values.
+        xv = normalize_rows(rng.standard_normal((64, 12)) + 0.3, VISION).vectors
+        xt = normalize_rows(rng.standard_normal((64, 12)) + 0.3, TEXT).vectors
+        z_v = init_prototypes(4, 12, seed=55).vectors
+        z_t = init_prototypes(4, 12, seed=56, modality=TEXT).vectors
+        _, _, losses = _batch_gradients(xv, xt, z_v, z_t, cfg)
+        m = np.clip(xv @ xt.T, -1.0, 1.0)
+        for x, bank, h, got in ((xv, z_t, m.mean(axis=1), losses.uct_v),
+                                (xt, z_v, m.mean(axis=0), losses.uct_t)):
+            u, _ = dirichlet_uncertainty(generate_evidence(x @ bank.T, cfg.evidence))
+            assert got == pytest.approx(loss_uct(u, map_targets(h, h_mapping)), abs=1e-12)
+
     def test_vision_uncertainty_ignores_vision_bank(self):
         # u_v is scored against the text bank, so uct_v must not move when
         # the vision bank changes
@@ -373,11 +389,6 @@ class TestTrain:
         bank_v, bank_t, _ = train(vis, txt, pairs, cfg)
         assert bank_v.vectors.shape == (5, 32) and bank_v.modality == VISION
         assert bank_t.vectors.shape == (5, 32) and bank_t.modality == TEXT
-
-    def test_sgd_optimizer_runs(self):
-        vis, txt, pairs, _ = smoke_corpus()
-        _, _, hist = train(vis, txt, pairs, smoke_config(epochs=2, optimizer="sgd"))
-        assert len(hist) == 2
 
     def test_trailing_single_pair_batch_is_dropped(self):
         vis = unit_rows(5, 4, seed=70, modality=VISION)
