@@ -13,7 +13,6 @@ from .embed import (
     EmbeddingSet,
     PairSet,
     SimilarityMatrix,
-    aligned_batch,
     batch_means,
     cosine,
     normalize_rows,
@@ -102,7 +101,6 @@ __all__ = [
     "TrainHistory",
     "V2T",
     "VISION",
-    "aligned_batch",
     "apply_rerank",
     "batch_means",
     "cosine",

@@ -12,6 +12,7 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .evidence import (
 )
 from .fileio import (
     Checkpoint,
+    _atomic_write,
     _text_lines,
     read_checkpoint,
     read_embeddings,
@@ -60,7 +62,8 @@ def _load_embeddings(path, modality):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write a header and any iterable of rows, streamed, as one atomic CSV."""
+    with _atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -92,10 +95,10 @@ def _cmd_gen_synth(args) -> int:
         _write_csv(
             args.labels,
             ("item", "m", "semantics"),
-            [
+            (
                 (i, m, ";".join(map(str, chosen)))
                 for i, (m, chosen) in enumerate(zip(labels.counts, labels.semantic_sets))
-            ],
+            ),
         )
     _summary(
         "gen-synth",
@@ -154,10 +157,10 @@ def _cmd_train(args) -> int:
         _write_csv(
             args.out,
             ("epoch", "uct_v", "uct_t", "div_v", "div_t", "total"),
-            [
+            (
                 (r.epoch, repr(r.uct_v), repr(r.uct_t), repr(r.div_v), repr(r.div_t), repr(r.total))
                 for r in history.records
-            ],
+            ),
         )
     final = history.final
     _summary(
@@ -174,24 +177,20 @@ def _cmd_train(args) -> int:
 
 def _cmd_score(args) -> int:
     ckpt = read_checkpoint(args.ckpt)
-    rows = []
+    scored = []
     summary = {}
     if not args.vis and not args.txt:
         raise ProtoUQError("score needs --vis and/or --txt")
-    if args.vis:
-        vis = _load_embeddings(args.vis, VISION)
-        u_v = uncertainty_scores(vis, ckpt.bank_t, ckpt.evidence)
-        rows += [(VISION, i, repr(float(u))) for i, u in enumerate(u_v)]
-        summary["mean_u_vision"] = f"{u_v.mean():.6f}"
-    if args.txt:
-        txt = _load_embeddings(args.txt, TEXT)
-        u_t = uncertainty_scores(txt, ckpt.bank_v, ckpt.evidence)
-        rows += [(TEXT, j, repr(float(u))) for j, u in enumerate(u_t)]
-        summary["mean_u_text"] = f"{u_t.mean():.6f}"
+    for path, modality, bank in ((args.vis, VISION, ckpt.bank_t), (args.txt, TEXT, ckpt.bank_v)):
+        if path:
+            u = uncertainty_scores(_load_embeddings(path, modality), bank, ckpt.evidence)
+            scored.append((modality, u))
+            summary[f"mean_u_{modality}"] = f"{u.mean():.6f}"
     if args.out:
+        rows = ((modality, i, repr(x)) for modality, u in scored for i, x in enumerate(u.tolist()))
         _write_csv(args.out, ("modality", "index", "uncertainty"), rows)
         summary["out"] = args.out
-    _summary("score", n_scored=len(rows), **summary)
+    _summary("score", n_scored=sum(u.size for _, u in scored), **summary)
     return 0
 
 
@@ -231,38 +230,37 @@ def _mean_r1(reports) -> float:
     return 0.5 * sum(rep.r1 for rep in reports)
 
 
+def _rerank_reports(m, pairs, u_v, u_t, params):
+    """Rank m, then m re-ranked with params: both report lists, their CSV
+    rows (re-ranked ones prefixed) and the re-ranked matrix."""
+    before = _reports(m, pairs)
+    reranked = apply_rerank(m, u_v, u_t, params)
+    after = _reports(reranked, pairs)
+    rows = _report_rows(before) + _report_rows(after, prefix="reranked_")
+    return before, after, rows, reranked
+
+
 def _cmd_rerank(args) -> int:
-    if not args.fit_betas and (args.grid, args.ckpt_out) != (None, None):
-        args.usage_error("--grid and --ckpt-out need --fit-betas")
+    fit_only, fixed = (args.grid, args.ckpt_out), (args.beta1, args.beta2)
+    if (fixed if args.fit_betas else fit_only) != (None, None):
+        args.usage_error("--grid and --ckpt-out need --fit-betas; --beta1 and --beta2 conflict with it")
     ckpt, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args, similarity_matrix)
     if args.fit_betas:
         params = fit_betas(m, u_v, u_t, pairs, grid=args.grid or DEFAULT_BETA_GRID)
         if args.ckpt_out:
-            write_checkpoint(
-                Checkpoint(
-                    bank_v=ckpt.bank_v,
-                    bank_t=ckpt.bank_t,
-                    evidence=ckpt.evidence,
-                    rerank=params,
-                    train_meta=ckpt.train_meta,
-                ),
-                args.ckpt_out,
-            )
+            write_checkpoint(replace(ckpt, rerank=params), args.ckpt_out)
     else:
         beta1 = args.beta1 if args.beta1 is not None else ckpt.rerank.beta1
         beta2 = args.beta2 if args.beta2 is not None else ckpt.rerank.beta2
         params = RerankParams(beta1=beta1, beta2=beta2)
-    reranked = apply_rerank(m, u_v, u_t, params)
-    before = _reports(m, pairs)
-    after = _reports(reranked, pairs)
+    before, after, rows, reranked = _rerank_reports(m, pairs, u_v, u_t, params)
     if args.out:
-        rows = _report_rows(before) + _report_rows(after, prefix="reranked_")
         _write_csv(args.out, ("metric", "direction", "value"), rows)
     if args.out_matrix:
         _write_csv(
             args.out_matrix,
             [f"t{j}" for j in range(reranked.cols)],
-            [[repr(float(x)) for x in row] for row in reranked.values],
+            (map(repr, row.tolist()) for row in reranked.values),
         )
     _summary(
         "rerank",
@@ -277,15 +275,13 @@ def _cmd_rerank(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     ckpt, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args, similarity_matrix)
-    rows = _report_rows(_reports(m, pairs))
-    summary = {}
-    for metric, direction, value in rows:
-        if metric in ("r1", "mdr"):
-            summary[f"{metric}_{direction}"] = value
+    if ckpt is None:
+        rows = _report_rows(_reports(m, pairs))
+    else:
+        _, after, rows, _ = _rerank_reports(m, pairs, u_v, u_t, ckpt.rerank)
+    summary = {f"{name}_{direction}": v for name, direction, v in rows if name in ("r1", "mdr")}
     if ckpt is not None:
-        reranked = _reports(apply_rerank(m, u_v, u_t, ckpt.rerank), pairs)
-        rows += _report_rows(reranked, prefix="reranked_")
-        summary["reranked_mean_r1"] = f"{_mean_r1(reranked):.4f}"
+        summary["reranked_mean_r1"] = f"{_mean_r1(after):.4f}"
     if args.out:
         _write_csv(args.out, ("metric", "direction", "value"), rows)
     _summary("evaluate", n_queries_t2v=txt.n, n_queries_v2t=vis.n, **summary)
@@ -538,8 +534,8 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ProtoUQError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ProtoUQError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

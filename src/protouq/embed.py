@@ -19,7 +19,6 @@ from .errors import (
     EmptyMatrix,
     IndexOutOfRange,
     InvariantViolation,
-    LengthMismatch,
     MissingPositive,
     ModalityMismatch,
     ZeroVector,
@@ -49,9 +48,9 @@ def _checked_rows(matrix) -> tuple[np.ndarray, np.ndarray]:
     """
     out = _as_float_matrix(matrix)
     if out.shape[0] < 1:
-        raise EmptyMatrix("embedding matrix needs at least one row")
+        raise EmptyMatrix("matrix needs at least one row")
     if out.shape[1] < 2:
-        raise DimensionTooSmall(f"embedding dimension must be >= 2, got {out.shape[1]}")
+        raise DimensionTooSmall(f"row dimension must be >= 2, got {out.shape[1]}")
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(out, axis=1)
     bad = np.flatnonzero(~np.isfinite(norms))
@@ -263,11 +262,3 @@ class PairSet:
         """Map each text index to its sorted array of paired vision indices."""
         texts, starts, _, visions = _grouped(self.text_indices, self.vision_indices)
         return dict(zip(texts.tolist(), np.split(visions, starts[1:])))
-
-
-def aligned_batch(vis: EmbeddingSet, txt: EmbeddingSet) -> None:
-    """Validate that two sets form an aligned batch (row i pairs with row i)."""
-    if vis.n != txt.n:
-        raise LengthMismatch(f"aligned batch sizes differ: {vis.n} vs {txt.n}")
-    if vis.d != txt.d:
-        raise DimensionMismatch(f"dimension mismatch: {vis.d} vs {txt.d}")

@@ -1,9 +1,10 @@
 """Binary and text interchange formats.
 
 Everything here is endianness-pinned (little-endian) so files round-trip
-bit-exactly across platforms.  Writers go through a temp file in the
-target directory followed by an atomic rename, so a crash never leaves a
-half-written artifact at the destination path.
+bit-exactly across platforms.  Every artifact, the binary files here and
+the CLI's CSVs alike, is written through _atomic_write: a temp file in the
+target directory followed by an atomic rename, so a crash or a failing
+writer never leaves a half-written artifact at the destination path.
 
 Embedding files:   magic "PAUE" | version u16 | modality u8 | n u64 |
                    d u32 | n*d float32 row-major.
@@ -53,11 +54,14 @@ _RERANK_BLOCK = struct.Struct("<dd")
 _META_LEN = struct.Struct("<I")
 
 
-def _atomic_write(path, payload: bytes) -> None:
+@contextlib.contextmanager
+def _atomic_write(path, mode="wb", **open_kwargs):
+    """Yield ``<path>.tmp.<pid>`` opened for writing; rename it onto ``path``
+    when the block succeeds and remove it when anything fails."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -86,6 +90,13 @@ class _Cursor:
 
     def unpack(self, fmt: struct.Struct) -> tuple:
         return fmt.unpack(self.take(fmt.size))
+
+    def take_f32(self, rows: int, cols: int) -> np.ndarray:
+        """A rows x cols float32 block as float64.  A signaling NaN becomes a
+        quiet NaN without a RuntimeWarning, for the row checks to reject."""
+        raw = np.frombuffer(self.take(4 * rows * cols), dtype="<f4")
+        with np.errstate(invalid="ignore"):
+            return raw.astype(np.float64).reshape(rows, cols)
 
     def done(self) -> None:
         if self.pos != len(self.blob):
@@ -120,7 +131,8 @@ def write_embeddings(embeddings: EmbeddingSet, path) -> None:
         _MODALITY_CODES[embeddings.modality], embeddings.n, embeddings.d
     )
     payload = np.ascontiguousarray(embeddings.vectors, dtype="<f4").tobytes()
-    _atomic_write(path, header + payload)
+    with _atomic_write(path) as fh:
+        fh.write(header + payload)
 
 
 def read_embeddings(path) -> EmbeddingSet:
@@ -136,9 +148,8 @@ def read_embeddings(path) -> EmbeddingSet:
     modality_code, n, d = cur.unpack(_EMBED_HEADER)
     if modality_code not in _MODALITY_NAMES:
         raise InvariantViolation(f"{path}: unknown modality byte {modality_code}")
-    raw = np.frombuffer(cur.take(4 * n * d), dtype="<f4")
+    matrix = cur.take_f32(n, d)
     cur.done()
-    matrix = raw.astype(np.float64).reshape(n, d) if n else np.empty((0, d))
     return normalize_rows(matrix, _MODALITY_NAMES[modality_code])
 
 
@@ -178,7 +189,8 @@ def read_embeddings_csv(path, modality: str) -> EmbeddingSet:
 
 def write_pairs(pairs: PairSet, path) -> None:
     body = ("%d\t%d\n" * len(pairs)) % tuple(pairs.pairs.ravel().tolist())
-    _atomic_write(path, body.encode("utf-8"))
+    with _atomic_write(path) as fh:
+        fh.write(body.encode("utf-8"))
 
 
 def read_pairs(path) -> PairSet:
@@ -231,32 +243,23 @@ def _pack_bank(bank: PrototypeBank) -> bytes:
 
 def _unpack_bank(cur: _Cursor, modality: str) -> PrototypeBank:
     k, d = cur.unpack(_BANK_HEADER)
-    raw = np.frombuffer(cur.take(4 * k * d), dtype="<f4")
-    return PrototypeBank(
-        modality=modality, vectors=raw.astype(np.float64).reshape(k, d)
-    )
+    return PrototypeBank(modality=modality, vectors=cur.take_f32(k, d))
 
 
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
-    meta_text = "".join(
-        f"{k}={ckpt.train_meta[k]}\n" for k in sorted(ckpt.train_meta)
-    )
+    meta_text = "".join(f"{k}={ckpt.train_meta[k]}\n" for k in sorted(ckpt.train_meta))
     meta_bytes = meta_text.encode("utf-8")
-    payload = (
-        _MAGIC_VERSION.pack(CHECKPOINT_MAGIC, FORMAT_VERSION)
-        + _pack_bank(ckpt.bank_v)
-        + _pack_bank(ckpt.bank_t)
-        + _EVIDENCE_BLOCK.pack(
-            _KIND_CODES[ckpt.evidence.kind],
-            ckpt.evidence.gamma,
-            ckpt.evidence.theta,
-            ckpt.evidence.tau,
+    ev = ckpt.evidence
+    with _atomic_write(path) as fh:
+        fh.write(
+            _MAGIC_VERSION.pack(CHECKPOINT_MAGIC, FORMAT_VERSION)
+            + _pack_bank(ckpt.bank_v)
+            + _pack_bank(ckpt.bank_t)
+            + _EVIDENCE_BLOCK.pack(_KIND_CODES[ev.kind], ev.gamma, ev.theta, ev.tau)
+            + _RERANK_BLOCK.pack(ckpt.rerank.beta1, ckpt.rerank.beta2)
+            + _META_LEN.pack(len(meta_bytes))
+            + meta_bytes
         )
-        + _RERANK_BLOCK.pack(ckpt.rerank.beta1, ckpt.rerank.beta2)
-        + _META_LEN.pack(len(meta_bytes))
-        + meta_bytes
-    )
-    _atomic_write(path, payload)
 
 
 def read_checkpoint(path) -> Checkpoint:

@@ -17,14 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import (
-    VISION,
+    MODALITIES,
     TEXT,
+    VISION,
+    _NORM_EPS,
     EmbeddingSet,
     PairSet,
     _batch_means,
     _check_cross_modal,
+    _checked_rows,
     _grouped,
-    aligned_batch,
 )
 from .errors import (
     DimensionMismatch,
@@ -46,8 +48,6 @@ H_CLAMP = "clamp"
 H_AFFINE = "affine"
 H_MAPPINGS = (H_CLAMP, H_AFFINE)
 
-_NORM_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class PrototypeBank:
@@ -57,18 +57,9 @@ class PrototypeBank:
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.modality not in (VISION, TEXT):
+        if self.modality not in MODALITIES:
             raise ModalityMismatch(f"unknown modality {self.modality!r}")
-        vectors = np.asarray(self.vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[0] < 1:
-            raise InvariantViolation("prototype bank must be a nonempty 2-D array")
-        if vectors.shape[1] < 2:
-            raise DimensionTooSmall(
-                f"prototype dimension must be >= 2, got {vectors.shape[1]}"
-            )
-        if not np.all(np.isfinite(vectors)):
-            raise InvariantViolation("prototype entries must be finite")
-        norms = np.linalg.norm(vectors, axis=1)
+        vectors, norms = _checked_rows(self.vectors)
         if np.any(norms < _NORM_EPS):
             raise ZeroPrototype("a prototype row has near-zero norm")
         vectors = np.ascontiguousarray(vectors)
@@ -169,6 +160,12 @@ def map_targets(raw_means: np.ndarray, mode: str = H_CLAMP) -> np.ndarray:
     raise InvalidConfig(f"unknown h_mapping {mode!r}")
 
 
+def _uct_value(u: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]:
+    """The uncertainty loss mean((u - h)^2), and the gap u - h."""
+    diff = u - h
+    return float(np.mean(diff * diff)), diff
+
+
 def loss_uct(u: np.ndarray, h: np.ndarray) -> float:
     """Mean squared error between uncertainties and their targets."""
     u = np.asarray(u, dtype=np.float64).ravel()
@@ -177,17 +174,18 @@ def loss_uct(u: np.ndarray, h: np.ndarray) -> float:
         raise LengthMismatch(f"lengths differ: {u.shape[0]} vs {h.shape[0]}")
     if u.size == 0:
         raise LengthMismatch("loss over zero instances is undefined")
-    diff = u - h
-    return float(np.mean(diff * diff))
+    return _uct_value(u, h)[0]
 
 
-def _cosine_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _div_value(vectors: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The diversity loss of a raw (k, d) bank, mean(cos^2) over all row
+    pairs, with the clipped cosine matrix, unit rows and norms it used."""
     norms = np.linalg.norm(vectors, axis=1)
     if np.any(norms < _NORM_EPS):
         raise ZeroPrototype("a prototype row has near-zero norm")
     unit = vectors / norms[:, None]
     gram = np.clip(unit @ unit.T, -1.0, 1.0)
-    return gram, unit, norms
+    return float(np.mean(gram * gram)), gram, unit, norms
 
 
 def loss_div(bank: PrototypeBank) -> float:
@@ -196,15 +194,13 @@ def loss_div(bank: PrototypeBank) -> float:
     The i = j terms contribute exactly K, so the loss is bounded below by
     1 / K, attained when all off-diagonal cosines vanish.
     """
-    gram, _, _ = _cosine_rows(np.asarray(bank.vectors, dtype=np.float64))
-    return float(np.mean(gram * gram))
+    return _div_value(bank.vectors)[0]
 
 
 def _div_value_grad(vectors: np.ndarray) -> tuple[float, np.ndarray]:
     """Diversity loss and its gradient for one bank's raw (k, d) array."""
-    gram, unit, norms = _cosine_rows(vectors)
+    value, gram, unit, norms = _div_value(vectors)
     k = vectors.shape[0]
-    value = float(np.mean(gram * gram))
     # d/dz_a of sum_ij cos^2: diagonal terms are constant, and including
     # j = a in both partial sums below cancels exactly, so no masking.
     row_sq = (gram * gram).sum(axis=1)
@@ -229,8 +225,7 @@ def _uct_value_grads(
     k = bank_vectors.shape[0]
     p = instances @ bank_vectors.T
     u, strength = dirichlet_uncertainty(generate_evidence(p, cfg))
-    diff = u - targets
-    value = float(np.mean(diff * diff))
+    value, diff = _uct_value(u, targets)
     weight = (2.0 / n) * diff * (k / (strength * strength))
     grad = (weight[:, None] * evidence_slope(p, cfg)).T @ instances
     return value, grad
@@ -256,9 +251,13 @@ def gradients(
         (grad_v, grad_t, losses) where grad_v has bank_v's shape and
         grad_t has bank_t's.
     """
-    aligned_batch(vis, txt)
+    _check_cross_modal(vis, txt)
+    if vis.n != txt.n:
+        raise LengthMismatch(f"aligned batch sizes differ: {vis.n} vs {txt.n}")
     if vis.n < 2:
         raise InsufficientPairs("a batch needs at least 2 aligned pairs")
+    if bank_v.modality != VISION or bank_t.modality != TEXT:
+        raise ModalityMismatch("bank_v must be the vision bank and bank_t the text bank")
     if bank_v.d != vis.d or bank_t.d != vis.d:
         raise DimensionMismatch("banks and instances disagree on dimension")
     return _batch_gradients(vis.vectors, txt.vectors, bank_v.vectors, bank_t.vectors, cfg)

@@ -1,13 +1,23 @@
 """End-to-end command-line pipeline on a small generated corpus."""
 
 import csv
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from protouq import pearson, read_checkpoint, read_embeddings, uncertainty_scores
-from protouq.cli import run
+from protouq import (
+    RerankParams,
+    apply_rerank,
+    pearson,
+    read_checkpoint,
+    read_embeddings,
+    similarity_matrix,
+    uncertainty_scores,
+)
+from protouq.cli import _write_csv, run
+from protouq.errors import ProtoUQError
 
 
 def read_csv(path):
@@ -198,6 +208,24 @@ class TestRerank:
         assert header == [f"t{j}" for j in range(80)]
         assert len(rows) == 40
 
+    def test_out_matrix_cells_are_repr_of_reranked_values(self, pipeline, tmp_path):
+        matrix_csv = tmp_path / "m.csv"
+        assert run([
+            "rerank", "--ckpt", pipeline["ckpt"], "--vis", pipeline["vis"],
+            "--txt", pipeline["txt"], "--pairs", pipeline["pairs"],
+            "--beta1", "1.5", "--beta2", "0.75", "--out-matrix", str(matrix_csv),
+        ]) == 0
+        ckpt = read_checkpoint(pipeline["ckpt"])
+        vis, txt = read_embeddings(pipeline["vis"]), read_embeddings(pipeline["txt"])
+        reranked = apply_rerank(
+            similarity_matrix(vis, txt),
+            uncertainty_scores(vis, ckpt.bank_t, ckpt.evidence),
+            uncertainty_scores(txt, ckpt.bank_v, ckpt.evidence),
+            RerankParams(beta1=1.5, beta2=0.75),
+        )
+        _, rows = read_csv(matrix_csv)
+        assert rows == [[repr(x) for x in row] for row in reranked.values.tolist()]
+
     @pytest.mark.parametrize("flag, value", [("--ckpt-out", "fitted.paup"), ("--grid", "0,1")])
     def test_fit_only_flag_without_fit_betas_is_usage_error(
         self, pipeline, tmp_path, capsys, flag, value
@@ -288,6 +316,21 @@ class TestAnalyze:
         assert "log_prob=-28.685402" in capsys.readouterr().out
 
 
+class TestWriteCsv:
+    def test_failing_rows_leave_the_old_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def rows():
+            yield ("a", 1)
+            raise ProtoUQError("row source failed")
+
+        with pytest.raises(ProtoUQError):
+            _write_csv(path, ("x", "y"), rows())
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
@@ -306,6 +349,26 @@ class TestRuntimeErrors:
         pairs.write_text("0\t0\n2\t99999999999999999999\n")
         assert run(["evaluate", "--vis", pipeline["vis"], "--txt", pipeline["txt"],
                     "--pairs", str(pairs)]) == 1
+        assert_one_line_error(capsys)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind, offset", [("vis", 19), ("ckpt", 14)], ids=["paue", "paup"])
+    def test_signaling_nan_is_one_error_line(self, pipeline, tmp_path, capsys, kind, offset):
+        # float32 bits 0x7f800001 as the first stored value: the first
+        # vector of a PAUE file, the first vision prototype of a PAUP file.
+        path = tmp_path / Path(pipeline[kind]).name
+        blob = bytearray(Path(pipeline[kind]).read_bytes())
+        blob[offset:offset + 4] = struct.pack("<I", 0x7F800001)
+        path.write_bytes(bytes(blob))
+        files = {"ckpt": pipeline["ckpt"], "vis": pipeline["vis"], kind: str(path)}
+        assert run(["score", "--ckpt", files["ckpt"], "--vis", files["vis"]]) == 1
+        assert_one_line_error(capsys)
+
+    def test_out_of_memory_is_one_error_line(self, capsys):
+        # A 7 PiB array exceeds any x86-64 address space, so NumPy refuses
+        # it at once even where the kernel overcommits memory.
+        assert run(["analyze", "msvd-prob", "--n", str(10**30),
+                    "--batch", str(10**15), "--group", "1"]) == 1
         assert_one_line_error(capsys)
 
     def test_non_finite_csv_embeddings(self, pipeline, tmp_path, capsys):
@@ -353,6 +416,8 @@ class TestUsageErrors:
             ["analyze", "removal-curve", *CORPUS_ARGS, "--fractions", "nan"],
             ["analyze", "removal-curve", *CORPUS_ARGS, "--fractions", "inf"],
             ["analyze", "removal-curve", *CORPUS_ARGS, "--fractions", "0.1,,0.2"],
+            ["rerank", *CORPUS_ARGS, "--fit-betas", "--beta1", "3"],
+            ["rerank", *CORPUS_ARGS, "--fit-betas", "--beta2", "4"],
         ],
     )
     def test_argparse_exits_2(self, argv):

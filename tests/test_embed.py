@@ -14,7 +14,6 @@ from protouq import (
     normalize_rows,
     similarity_matrix,
 )
-from protouq.embed import aligned_batch
 from protouq.errors import (
     DimensionMismatch,
     DimensionTooSmall,
@@ -22,7 +21,6 @@ from protouq.errors import (
     EmptyMatrix,
     IndexOutOfRange,
     InvariantViolation,
-    LengthMismatch,
     MissingPositive,
     ModalityMismatch,
     ZeroVector,
@@ -287,17 +285,3 @@ class TestPairSet:
 
     def test_empty_pair_set_has_shape_0_by_2(self):
         assert PairSet().pairs.shape == (0, 2) and len(PairSet(pairs=[])) == 0
-
-
-class TestAlignedBatch:
-    def test_size_mismatch(self):
-        vis = unit_rows(3, 4, seed=14, modality=VISION)
-        txt = unit_rows(4, 4, seed=15, modality=TEXT)
-        with pytest.raises(LengthMismatch):
-            aligned_batch(vis, txt)
-
-    def test_dimension_mismatch(self):
-        vis = unit_rows(3, 4, seed=16, modality=VISION)
-        txt = unit_rows(3, 5, seed=17, modality=TEXT)
-        with pytest.raises(DimensionMismatch):
-            aligned_batch(vis, txt)

@@ -4,22 +4,30 @@ Anything asserted here must hold for every input in the stated domain,
 not just the seeded examples the other test files pin down.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from protouq import (
+    Checkpoint,
     EvidenceConfig,
     ProtoUQError,
     cosine,
     dirichlet_from_evidence,
     generate_evidence,
+    init_prototypes,
     jsd,
     msvd_collision_logprob,
     normalize_rows,
     pearson,
+    read_checkpoint,
+    read_embeddings,
     read_pairs,
     softmax,
+    write_checkpoint,
+    write_embeddings,
 )
 from protouq.cli import run
 
@@ -171,6 +179,48 @@ def test_any_pairs_file_raises_only_typed_errors(tmp_path_factory, blob, n_visio
         read_pairs(path).check_against(n_vision, n_text)
     except ProtoUQError:
         pass
+
+
+@pytest.fixture(scope="module")
+def binary_files(tmp_path_factory):
+    """The bytes of a small valid PAUE file and PAUP file."""
+    root = tmp_path_factory.mktemp("binary")
+    rng = np.random.default_rng(5)
+    write_embeddings(normalize_rows(rng.standard_normal((3, 4)), "vision"), root / "e.paue")
+    bank_v = init_prototypes(2, 4, seed=6, modality="vision")
+    bank_t = init_prototypes(2, 4, seed=7, modality="text")
+    write_checkpoint(Checkpoint(bank_v, bank_t, train_meta={"seed": 1}), root / "m.paup")
+    return {"paue": (root / "e.paue").read_bytes(), "paup": (root / "m.paup").read_bytes()}
+
+
+SIGNALING_NAN = struct.pack("<I", 0x7F800001)
+# Offsets of each file's first float32 value (after magic, version and header).
+FIRST_VALUE = {"paue": 19, "paup": 14}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(
+    st.sampled_from(["paue", "paup"]),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=10**4), st.binary(min_size=1, max_size=8)),
+             max_size=4),
+    st.integers(min_value=0, max_value=10**4),
+)
+@example("paue", [(FIRST_VALUE["paue"], SIGNALING_NAN)], 10**4)
+@example("paup", [(FIRST_VALUE["paup"], SIGNALING_NAN)], 10**4)
+def test_any_binary_file_raises_only_typed_errors(tmp_path_factory, binary_files, kind, edits, keep):
+    """Overwrite a valid file at any offsets and cut it to any length; both
+    readers may only raise ProtoUQError, and never warn."""
+    blob = bytearray(binary_files[kind])
+    for offset, raw in edits:
+        start = offset % len(blob)
+        blob[start:start + len(raw)] = raw
+    path = tmp_path_factory.mktemp("binary_fuzz") / f"f.{kind}"
+    path.write_bytes(bytes(blob[:keep]))
+    for reader in (read_embeddings, read_checkpoint):
+        try:
+            reader(path)
+        except ProtoUQError:
+            pass
 
 
 @pytest.fixture(scope="module")

@@ -24,6 +24,7 @@ from protouq import (
 from protouq.errors import (
     DimensionMismatch,
     DimensionTooSmall,
+    EmptyMatrix,
     IndexOutOfRange,
     InsufficientPairs,
     InvalidConfig,
@@ -89,6 +90,15 @@ class TestPrototypeBank:
     def test_one_dimensional_rejected(self):
         with pytest.raises(InvariantViolation):
             PrototypeBank(modality=VISION, vectors=np.array([1.0, 2.0]))
+
+    def test_empty_bank_rejected(self):
+        with pytest.raises(EmptyMatrix):
+            PrototypeBank(modality=VISION, vectors=np.empty((0, 4)))
+
+    def test_overflowing_row_norm_rejected(self):
+        # Every entry is finite, but the row norm overflows float64.
+        with pytest.raises(InvariantViolation, match="row 1"):
+            PrototypeBank(modality=TEXT, vectors=np.array([[1.0, 0.0], [1e300, 1e300]]))
 
     def test_vectors_are_immutable(self):
         bank = init_prototypes(k=2, d=4, seed=2)
@@ -328,6 +338,22 @@ class TestGradients:
         bank_t = init_prototypes(2, 4, seed=61, modality=TEXT)
         with pytest.raises(LengthMismatch):
             gradients(vis, txt, bank_v, bank_t, TrainConfig(epochs=1, seed=0, k=2))
+
+    def test_instance_dimension_mismatch_rejected(self):
+        vis = unit_rows(3, 4, seed=16, modality=VISION)
+        txt = unit_rows(3, 5, seed=17, modality=TEXT)
+        bank_v = init_prototypes(2, 4, seed=60)
+        bank_t = init_prototypes(2, 4, seed=61, modality=TEXT)
+        with pytest.raises(DimensionMismatch):
+            gradients(vis, txt, bank_v, bank_t, TrainConfig(epochs=1, seed=0, k=2))
+
+    @pytest.mark.parametrize("swap", ["sets", "banks"])
+    def test_swapped_modalities_rejected(self, swap):
+        sets = [unit_rows(3, 4, seed=66, modality=VISION), unit_rows(3, 4, seed=67, modality=TEXT)]
+        banks = [init_prototypes(2, 4, seed=68), init_prototypes(2, 4, seed=69, modality=TEXT)]
+        (sets if swap == "sets" else banks).reverse()
+        with pytest.raises(ModalityMismatch):
+            gradients(*sets, *banks, TrainConfig(epochs=1, seed=0, k=2))
 
     def test_bank_dimension_mismatch_rejected(self):
         vis = unit_rows(3, 4, seed=62, modality=VISION)
