@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .embed import TEXT, VISION, batch_means, similarity_matrix
+from .embed import TEXT, VISION, _SimilarityBlocks, batch_means
 from .errors import InvalidConfig, ParseError, ProtoUQError
 from .evidence import (
     EVIDENCE_KINDS,
@@ -38,19 +38,18 @@ from .fileio import (
     write_pairs,
 )
 from .metrics import (
-    DIRECTIONS,
     GALLERY_SIDE,
     QUERY_SIDE,
     RANDOM_MODE,
     UNCERTAINTY_MODE,
     entropy,
-    evaluate_retrieval,
     msvd_collision_logprob,
     pearson,
     removal_curve,
+    retrieval_reports,
     softmax,
 )
-from .rerank import DEFAULT_BETA_GRID, RerankParams, apply_rerank, fit_betas
+from .rerank import DEFAULT_BETA_GRID, RerankParams, _reranked_rows, evaluate_reranked, fit_betas
 from .synth import SyntheticSpec, generate_corpus
 from .train import H_MAPPINGS, TrainConfig, map_targets, train
 
@@ -210,11 +209,6 @@ def _scored_corpus(args, measure):
     return ckpt, vis, txt, pairs, m, u_v, u_t
 
 
-def _reports(m, pairs) -> list:
-    """One RetrievalReport per direction; a command ranks each matrix once."""
-    return [evaluate_retrieval(m, pairs, direction) for direction in DIRECTIONS]
-
-
 _REPORT_FORMATS = (("r1", ".4f"), ("r5", ".4f"), ("r10", ".4f"), ("mdr", ".1f"), ("mnr", ".4f"))
 
 
@@ -231,20 +225,17 @@ def _mean_r1(reports) -> float:
 
 
 def _rerank_reports(m, pairs, u_v, u_t, params):
-    """Rank m, then m re-ranked with params: both report lists, their CSV
-    rows (re-ranked ones prefixed) and the re-ranked matrix."""
-    before = _reports(m, pairs)
-    reranked = apply_rerank(m, u_v, u_t, params)
-    after = _reports(reranked, pairs)
-    rows = _report_rows(before) + _report_rows(after, prefix="reranked_")
-    return before, after, rows, reranked
+    """Rank m, and m re-ranked with params, without building either matrix:
+    both report lists and their CSV rows (re-ranked ones prefixed)."""
+    before, after = evaluate_reranked(m, u_v, u_t, pairs, params)
+    return before, after, _report_rows(before) + _report_rows(after, prefix="reranked_")
 
 
 def _cmd_rerank(args) -> int:
     fit_only, fixed = (args.grid, args.ckpt_out), (args.beta1, args.beta2)
     if (fixed if args.fit_betas else fit_only) != (None, None):
         args.usage_error("--grid and --ckpt-out need --fit-betas; --beta1 and --beta2 conflict with it")
-    ckpt, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args, similarity_matrix)
+    ckpt, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args, _SimilarityBlocks.of_embeddings)
     if args.fit_betas:
         params = fit_betas(m, u_v, u_t, pairs, grid=args.grid or DEFAULT_BETA_GRID)
         if args.ckpt_out:
@@ -253,14 +244,18 @@ def _cmd_rerank(args) -> int:
         beta1 = args.beta1 if args.beta1 is not None else ckpt.rerank.beta1
         beta2 = args.beta2 if args.beta2 is not None else ckpt.rerank.beta2
         params = RerankParams(beta1=beta1, beta2=beta2)
-    before, after, rows, reranked = _rerank_reports(m, pairs, u_v, u_t, params)
+    before, after, rows = _rerank_reports(m, pairs, u_v, u_t, params)
     if args.out:
         _write_csv(args.out, ("metric", "direction", "value"), rows)
     if args.out_matrix:
         _write_csv(
             args.out_matrix,
-            [f"t{j}" for j in range(reranked.cols)],
-            (map(repr, row.tolist()) for row in reranked.values),
+            [f"t{j}" for j in range(txt.n)],
+            (
+                map(repr, row.tolist())
+                for _, block in _reranked_rows(m, u_v, u_t, params)
+                for row in block
+            ),
         )
     _summary(
         "rerank",
@@ -274,11 +269,11 @@ def _cmd_rerank(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    ckpt, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args, similarity_matrix)
+    ckpt, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args, _SimilarityBlocks.of_embeddings)
     if ckpt is None:
-        rows = _report_rows(_reports(m, pairs))
+        rows = _report_rows(retrieval_reports(m, pairs))
     else:
-        _, after, rows, _ = _rerank_reports(m, pairs, u_v, u_t, ckpt.rerank)
+        _, after, rows = _rerank_reports(m, pairs, u_v, u_t, ckpt.rerank)
     summary = {f"{name}_{direction}": v for name, direction, v in rows if name in ("r1", "mdr")}
     if ckpt is not None:
         summary["reranked_mean_r1"] = f"{_mean_r1(after):.4f}"
@@ -328,7 +323,7 @@ def _read_labels_column(path, n_items) -> np.ndarray:
 
 
 def _cmd_analyze_removal(args) -> int:
-    _, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args, similarity_matrix)
+    _, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args, _SimilarityBlocks.of_embeddings)
     if args.counts is not None:
         counts = args.counts
     elif all(0.0 <= f <= 1.0 for f in args.fractions):

@@ -18,6 +18,7 @@ Pair files:        text, one "v_index<TAB>t_index" per line, 0-based.
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import struct
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ from .embed import TEXT, VISION, EmbeddingSet, PairSet, normalize_rows
 from .errors import (
     BadMagic,
     DimensionMismatch,
+    IndexOutOfRange,
     InvariantViolation,
     ParseError,
     TruncatedFile,
@@ -106,13 +108,19 @@ class _Cursor:
             )
 
 
-def _text_lines(path):
-    """Lines of a UTF-8 text file; bytes that do not decode are a ParseError."""
+def _read_text(path) -> str:
+    """A UTF-8 text file with "\r\n" and "\r" read as "\n"; bytes that do
+    not decode are a ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            yield from fh
+            return fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _text_lines(path):
+    """Lines of a UTF-8 text file, each ending in "\n" but perhaps the last."""
+    return io.StringIO(_read_text(path))
 
 
 def _check_magic_version(cur: _Cursor, expected_magic: bytes) -> None:
@@ -194,17 +202,41 @@ def write_pairs(pairs: PairSet, path) -> None:
 
 
 def read_pairs(path) -> PairSet:
-    entries = []
-    for lineno, line in enumerate(_text_lines(path), start=1):
-        text = line.rstrip("\r\n")
-        if not text:
-            continue
-        try:
-            v, t = text.split("\t")
-            entries.append((int(v), int(t)))
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: expected 'v<TAB>t' integers, got {text!r}") from None
-    return PairSet(pairs=entries)
+    """One "v<TAB>t" pair of integers per line; blank lines are skipped.
+
+    The text is split once and parsed into an int64 array in one call.
+    Only when that fails is it read line by line, to name the first line
+    that is not two tab-separated integers in a ParseError; if every line
+    is, an index overflowed int64.
+    """
+    text = _read_text(path)
+    body = "\n".join(filter(None, text.split("\n")))
+    # Well formed means the separators alternate tab, newline, ..., tab:
+    # exactly one tab on every nonblank line.
+    raw = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
+    separators = raw[(raw == ord("\t")) | (raw == ord("\n"))]
+    well_formed = (
+        separators.size % 2 == 1
+        and (separators[0::2] == ord("\t")).all()
+        and (separators[1::2] == ord("\n")).all()
+    )
+    try:
+        if body and not well_formed:
+            raise ValueError
+        fields = body.replace("\t", "\n").split("\n") if body else []
+        values = np.array(fields, dtype=np.int64)
+    except (ValueError, OverflowError):
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            try:
+                if line:
+                    v, t = line.split("\t")
+                    int(v), int(t)
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{lineno}: expected 'v<TAB>t' integers, got {line!r}"
+                ) from None
+        raise IndexOutOfRange("a pair index does not fit in int64") from None
+    return PairSet(pairs=values.reshape(-1, 2))
 
 
 # ---- checkpoints ----
@@ -232,7 +264,10 @@ class Checkpoint:
                 f"banks disagree on dimension: {self.bank_v.d} vs {self.bank_t.d}"
             )
         for key, value in self.train_meta.items():
-            if "=" in key or "\n" in key or "\n" in str(value):
+            # read_checkpoint splits the block with str.splitlines(), so no
+            # key or value may hold any of the line breaks it splits on.
+            line = f"{key}={value}"
+            if "=" in key or line.splitlines() != [line]:
                 raise InvariantViolation(f"metadata key {key!r} is not encodable")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import PairSet, SimilarityMatrix
+from .embed import PairSet, _SimilarityBlocks
 from .errors import (
     EmptyVector,
     InvalidConfig,
@@ -37,11 +37,6 @@ RANDOM_MODE = "random"
 
 _DIST_TOL = 1e-9
 
-# Queries ranked per block in _best_positive_ranks; its temporaries are a
-# few (block x gallery) arrays, so memory does not grow with the query count.
-_RANK_BLOCK = 256
-
-
 @dataclass(frozen=True)
 class RetrievalReport:
     """Standard retrieval numbers for one direction.
@@ -59,67 +54,124 @@ class RetrievalReport:
     n_queries: int
 
 
-def _values_of(m) -> np.ndarray:
-    values = m.values if isinstance(m, SimilarityMatrix) else np.asarray(m, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-        raise LengthMismatch("similarity matrix must be 2-D and nonempty")
-    return values
-
-
-def _values_and_uncertainties(m, u_v, u_t):
-    """The matrix values, then u_v and u_t as float vectors with one finite,
-    nonnegative entry per row and per column."""
-    values = _values_of(m)
+def _similarities_and_uncertainties(m, u_v, u_t):
+    """m as a block source, then u_v and u_t as float vectors with one
+    finite, nonnegative entry per vision row and per text column."""
+    source = _SimilarityBlocks.of_matrix(m)
     u_v = np.asarray(u_v, dtype=np.float64).ravel()
     u_t = np.asarray(u_t, dtype=np.float64).ravel()
-    if u_v.size != values.shape[0] or u_t.size != values.shape[1]:
+    if (u_v.size, u_t.size) != source.shape:
         raise LengthMismatch(
             f"uncertainty lengths ({u_v.size}, {u_t.size}) "
-            f"do not match matrix shape {values.shape}"
+            f"do not match matrix shape {source.shape}"
         )
     if not all(np.all(np.isfinite(u) & (u >= 0.0)) for u in (u_v, u_t)):
         raise InvalidConfig("uncertainties must be finite and nonnegative")
-    return values, u_v, u_t
+    return source, u_v, u_t
 
 
-def _best_positive_ranks(scores: np.ndarray, query, gallery) -> np.ndarray:
-    """Rank of every query's best positive, for queries 0..n-1 on the rows.
+def _sides(pairs: PairSet, direction: str):
+    """(query, gallery) index of every pair for one direction."""
+    if direction == T2V:
+        return pairs.text_indices, pairs.vision_indices
+    return pairs.vision_indices, pairs.text_indices
 
-    scores is (queries, gallery); pair i links query[i] to gallery[i], and
-    every row must have at least one pair.  The best positive is the one
-    sorted first (highest score, then lowest gallery index), and its rank
-    is count(> s) + count(== s at a lower index) + 1, counted over blocks
-    of _RANK_BLOCK rows so temporaries stay O(block x gallery).
+
+def _pair_scores(source, pairs: PairSet) -> np.ndarray:
+    """M[v, t] of every pair, as the blocks hold it: one block pass."""
+    vs, ts = pairs.vision_indices, pairs.text_indices
+    order = np.argsort(vs, kind="stable")
+    sorted_vs = vs[order]
+    scores = np.empty(len(pairs))
+    for start, block in source.blocks():
+        lo, hi = np.searchsorted(sorted_vs, (start, start + len(block)))
+        idx = order[lo:hi]
+        scores[idx] = block[vs[idx] - start, ts[idx]]
+    return scores
+
+
+def _outranked(scores, best, best_gallery, gallery, alive=None) -> np.ndarray:
+    """The ranking kernel.
+
+    scores is (queries, some gallery entries) and gallery holds those
+    entries' gallery indices.  For each query, count the entries sorted
+    before its best positive (score best, gallery index best_gallery, both
+    (queries, 1) columns): a higher score, or an equal one at a lower index.
+    alive, if given, masks the entries that count.
     """
-    pair_scores = scores[query, gallery]
-    order = np.lexsort((gallery, -pair_scores, query))
-    sorted_query = query[order]
-    best = order[np.r_[True, sorted_query[1:] != sorted_query[:-1]]]
-    best_scores, best_gallery = pair_scores[best][:, None], gallery[best][:, None]
-    columns = np.arange(scores.shape[1])
-    ranks = np.empty(best.size, dtype=np.int64)
-    for start in range(0, best.size, _RANK_BLOCK):
-        rows = slice(start, start + _RANK_BLOCK)
-        block, s = scores[rows], best_scores[rows]
-        ties = (block == s) & (columns < best_gallery[rows])
-        ranks[rows] = np.count_nonzero(block > s, axis=1) + np.count_nonzero(ties, axis=1) + 1
-    return ranks
+    before = scores > best
+    before |= (scores == best) & (gallery < best_gallery)
+    if alive is not None:
+        before &= alive
+    return np.count_nonzero(before, axis=1)
+
+
+class _BestPositiveRanks:
+    """Ranks of every query in one direction, counted one block at a time.
+
+    A query's best positive is the one sorted first (highest score, then
+    lowest gallery index), and its rank is 1 + the entries sorted before it.
+    v2t queries are block rows and are ranked by the block that holds them;
+    t2v queries are columns, counted over every block's rows.  With keep, a
+    mask over the pairs, only the kept pairs are positives and only gallery
+    instances some kept pair uses are counted; a query with no kept pair
+    gets rank 1.
+    """
+
+    def __init__(self, direction: str, shape, pairs: PairSet, pair_scores, keep=None):
+        query, gallery = _sides(pairs, direction)
+        if keep is not None:
+            query, gallery, pair_scores = query[keep], gallery[keep], pair_scores[keep]
+        n_query, n_gallery = shape[::-1] if direction == T2V else shape
+        order = np.lexsort((gallery, -pair_scores, query))
+        first = order[np.flatnonzero(np.diff(query[order], prepend=-1))]
+        self.best = np.full((n_query, 1), np.inf)
+        self.best_gallery = np.zeros((n_query, 1), dtype=np.int64)
+        self.best[query[first], 0] = pair_scores[first]
+        self.best_gallery[query[first], 0] = gallery[first]
+        self.alive = None if keep is None else np.bincount(gallery, minlength=n_gallery) > 0
+        self.direction = direction
+        self.ranks = np.ones(n_query, dtype=np.int64)
+
+    def add(self, start: int, block: np.ndarray) -> None:
+        rows = slice(start, start + len(block))
+        if self.direction == V2T:
+            texts = np.arange(block.shape[1])
+            self.ranks[rows] += _outranked(
+                block, self.best[rows], self.best_gallery[rows], texts, self.alive
+            )
+        else:
+            visions = np.arange(rows.start, rows.stop)
+            alive = None if self.alive is None else self.alive[rows]
+            self.ranks += _outranked(block.T, self.best, self.best_gallery, visions, alive)
+
+
+def _rank_pass(source, rankings) -> None:
+    """One block pass that feeds every block to every ranking."""
+    for start, block in source.blocks():
+        for ranking in rankings:
+            ranking.add(start, block)
+
+
+def _rankings(m, pairs: PairSet, directions) -> list[_BestPositiveRanks]:
+    """The ranks of m in each of directions, from a pair-score pass and one
+    ranking pass."""
+    source = _SimilarityBlocks.of_matrix(m)
+    pairs.check_against(*source.shape)
+    scores = _pair_scores(source, pairs)
+    rankings = [_BestPositiveRanks(d, source.shape, pairs, scores) for d in directions]
+    _rank_pass(source, rankings)
+    return rankings
 
 
 def retrieval_ranks(m, pairs: PairSet, direction: str) -> np.ndarray:
     """Rank of every query's best positive, in query-index order."""
-    values = _values_of(m)
     if direction not in DIRECTIONS:
         raise InvalidConfig(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    pairs.check_against(*values.shape)
-    if direction == T2V:
-        return _best_positive_ranks(values.T, pairs.text_indices, pairs.vision_indices)
-    return _best_positive_ranks(values, pairs.vision_indices, pairs.text_indices)
+    return _rankings(m, pairs, [direction])[0].ranks
 
 
-def evaluate_retrieval(m, pairs: PairSet, direction: str) -> RetrievalReport:
-    """R@1/5/10, median and mean rank for one retrieval direction."""
-    ranks = retrieval_ranks(m, pairs, direction)
+def _report(ranks: np.ndarray, direction: str) -> RetrievalReport:
     n = ranks.size
     sorted_ranks = np.sort(ranks)
     return RetrievalReport(
@@ -131,6 +183,17 @@ def evaluate_retrieval(m, pairs: PairSet, direction: str) -> RetrievalReport:
         mnr=float(ranks.mean()),
         n_queries=n,
     )
+
+
+def evaluate_retrieval(m, pairs: PairSet, direction: str) -> RetrievalReport:
+    """R@1/5/10, median and mean rank for one retrieval direction."""
+    return _report(retrieval_ranks(m, pairs, direction), direction)
+
+
+def retrieval_reports(m, pairs: PairSet) -> list[RetrievalReport]:
+    """evaluate_retrieval in every direction of DIRECTIONS, from one pass
+    over the blocks for the pair scores and one that ranks both."""
+    return [_report(r.ranks, r.direction) for r in _rankings(m, pairs, DIRECTIONS)]
 
 
 def pearson(x, y) -> float:
@@ -167,19 +230,6 @@ class RemovalCurve:
     points: tuple[RemovalPoint, ...]
 
 
-def _survivor_r1(scores: np.ndarray, query, gallery, keep) -> float:
-    """R@1 over surviving pairs; every surviving pair is one query.
-
-    The gallery shrinks to the instances still referenced on the gallery
-    side, and each query is scored by its best-ranked surviving positive,
-    so with one pair per query this matches evaluate_retrieval exactly.
-    """
-    query_ids, q = np.unique(query[keep], return_inverse=True)
-    gallery_ids, g = np.unique(gallery[keep], return_inverse=True)
-    ranks = _best_positive_ranks(scores[np.ix_(query_ids, gallery_ids)], q, g)
-    return 100.0 * np.count_nonzero(ranks[q] == 1) / q.size
-
-
 def removal_curve(
     m,
     u_v,
@@ -199,13 +249,20 @@ def removal_curve(
     pairs are a seeded uniform draw, redrawn per count and shared by both
     directions.  A removed pair takes its query with it, so the point at
     count r scores exactly n_pairs - r queries per direction.
+
+    Every surviving pair is one query, scored by its query's best-ranked
+    surviving positive over the gallery instances some surviving pair still
+    uses, so with one pair per query this matches evaluate_retrieval
+    exactly.  After one block pass for the pair scores, a second ranks
+    every count in both directions on the same blocks, with the survivors
+    as masks.
     """
-    values, u_v, u_t = _values_and_uncertainties(m, u_v, u_t)
+    source, u_v, u_t = _similarities_and_uncertainties(m, u_v, u_t)
     if mode not in (UNCERTAINTY_MODE, RANDOM_MODE):
         raise InvalidConfig(f"unknown removal mode {mode!r}")
     if side not in (GALLERY_SIDE, QUERY_SIDE):
         raise InvalidConfig(f"unknown removal side {side!r}")
-    pairs.check_against(*values.shape)
+    pairs.check_against(*source.shape)
     counts = [int(c) for c in counts]
     if any(c < 0 for c in counts):
         raise InvalidConfig("removal counts must be nonnegative")
@@ -230,18 +287,22 @@ def removal_curve(
         keep[removed] = False
         return keep
 
-    points = []
-    for r in counts:
-        keep_t2v = survivors(T2V, r)
-        keep_v2t = keep_t2v if mode == RANDOM_MODE else survivors(V2T, r)
-        points.append(
-            RemovalPoint(
-                removed=r,
-                r1_t2v=_survivor_r1(values.T, ts, vs, keep_t2v),
-                r1_v2t=_survivor_r1(values, vs, ts, keep_v2t),
-            )
-        )
-    return RemovalCurve(mode=mode, side=side, points=tuple(points))
+    scores = _pair_scores(source, pairs)
+    keeps = {(d, r): survivors(d, r) for d in DIRECTIONS for r in counts}
+    rankings = {
+        (d, r): _BestPositiveRanks(d, source.shape, pairs, scores, keeps[d, r]) for d, r in keeps
+    }
+    _rank_pass(source, rankings.values())
+
+    def r1(direction: str, r: int) -> float:
+        query, _ = _sides(pairs, direction)
+        ranks = rankings[direction, r].ranks[query[keeps[direction, r]]]
+        return 100.0 * np.count_nonzero(ranks == 1) / ranks.size
+
+    points = tuple(
+        RemovalPoint(removed=r, r1_t2v=r1(T2V, r), r1_v2t=r1(V2T, r)) for r in counts
+    )
+    return RemovalCurve(mode=mode, side=side, points=points)
 
 
 # ---- information measures ----

@@ -1,7 +1,9 @@
 """End-to-end command-line pipeline on a small generated corpus."""
 
 import csv
+import io
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from protouq import (
     RerankParams,
+    SimilarityMatrix,
     apply_rerank,
     pearson,
     read_checkpoint,
@@ -17,6 +20,7 @@ from protouq import (
     uncertainty_scores,
 )
 from protouq.cli import _write_csv, run
+from protouq.embed import _RANK_BLOCK
 from protouq.errors import ProtoUQError
 
 
@@ -51,6 +55,15 @@ def pipeline(tmp_path_factory):
         "--batch-size", "16", "--lr", "0.1", "--seed", "5",
     ]) == 0
     return paths
+
+
+def refuse_similarity_matrices(monkeypatch):
+    """Make building any SimilarityMatrix, dense or re-ranked, fail."""
+
+    def refuse(self):
+        raise AssertionError("built an n_vision x n_text similarity matrix")
+
+    monkeypatch.setattr(SimilarityMatrix, "__post_init__", refuse)
 
 
 class TestGenSynth:
@@ -258,10 +271,7 @@ class TestAnalyze:
         assert all(-1.0 <= float(r[2]) <= 1.0 for r in rows)
 
     def test_pcc_builds_no_similarity_matrix(self, pipeline, monkeypatch, capsys):
-        def refuse(*args, **kwargs):
-            raise AssertionError("analyze pcc built a similarity matrix")
-
-        monkeypatch.setattr("protouq.cli.similarity_matrix", refuse)
+        refuse_similarity_matrices(monkeypatch)
         assert run([
             "analyze", "pcc", "--ckpt", pipeline["ckpt"], "--vis", pipeline["vis"],
             "--txt", pipeline["txt"], "--pairs", pipeline["pairs"],
@@ -314,6 +324,67 @@ class TestAnalyze:
         assert run(["analyze", "msvd-prob", "--n", "48000",
                     "--batch", "256", "--group", "40"]) == 0
         assert "log_prob=-28.685402" in capsys.readouterr().out
+
+
+def make_corpus(root, n_items, d):
+    """gen-synth and a one-epoch train at the given size: the corpus flags
+    and the checkpoint path."""
+    paths = {name: str(root / name) for name in ("vis.paue", "txt.paue", "pairs.tsv", "model.paup")}
+    corpus = ["--vis", paths["vis.paue"], "--txt", paths["txt.paue"], "--pairs", paths["pairs.tsv"]]
+    assert run(["gen-synth", *corpus, "--n-items", str(n_items), "--d", str(d), "--seed", "5"]) == 0
+    assert run(["train", *corpus, "--ckpt", paths["model.paup"], "--epochs", "1", "--k", "4",
+                "--lr", "0.5", "--seed", "2", "--beta1", "1.5", "--beta2", "0.75"]) == 0
+    return corpus, paths["model.paup"]
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("argv", [
+        ["evaluate"],
+        ["rerank", "--out-matrix", "{tmp}/m.csv"],
+        ["rerank", "--fit-betas", "--ckpt-out", "{tmp}/fitted.paup"],
+        ["analyze", "removal-curve"],
+        ["analyze", "removal-curve", "--mode", "random"],
+    ], ids=["evaluate", "rerank", "rerank-fit", "removal-uncertainty", "removal-random"])
+    def test_ranking_commands_build_no_similarity_matrix(
+        self, pipeline, tmp_path, monkeypatch, argv
+    ):
+        refuse_similarity_matrices(monkeypatch)
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert run([
+            *argv, "--ckpt", pipeline["ckpt"], "--vis", pipeline["vis"],
+            "--txt", pipeline["txt"], "--pairs", pipeline["pairs"],
+        ]) == 0
+
+    def test_evaluate_peak_memory_is_far_below_one_dense_matrix(self, tmp_path, capsys):
+        corpus, ckpt = make_corpus(tmp_path, 1500, 16)
+        n_vision, n_text = 1500, 3000
+        tracemalloc.start()
+        try:
+            assert run(["evaluate", *corpus, "--ckpt", ckpt]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f"n_queries_t2v={n_text} n_queries_v2t={n_vision}" in capsys.readouterr().out
+        assert peak < 8 * n_vision * n_text / 2
+
+    def test_out_matrix_past_one_block_is_byte_identical_to_dense_rerank(self, tmp_path):
+        corpus, ckpt = make_corpus(tmp_path, 300, 8)
+        matrix_csv = tmp_path / "m.csv"
+        assert run(["rerank", *corpus, "--ckpt", ckpt, "--out-matrix", str(matrix_csv)]) == 0
+        model = read_checkpoint(ckpt)
+        vis, txt = read_embeddings(corpus[1]), read_embeddings(corpus[3])
+        assert vis.n > _RANK_BLOCK
+        reranked = apply_rerank(
+            similarity_matrix(vis, txt),
+            uncertainty_scores(vis, model.bank_t, model.evidence),
+            uncertainty_scores(txt, model.bank_v, model.evidence),
+            model.rerank,
+        )
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow([f"t{j}" for j in range(txt.n)])
+        writer.writerows([repr(x) for x in row] for row in reranked.values.tolist())
+        assert matrix_csv.read_bytes() == want.getvalue().encode("utf-8")
 
 
 class TestWriteCsv:

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from protouq import (
     Checkpoint,
@@ -227,6 +228,65 @@ class TestPairsIO:
         with pytest.raises(ParseError, match="not UTF-8"):
             read_pairs(path)
 
+    @pytest.mark.parametrize("body, lineno, line", [
+        ("0\t0\n\n\n1\tx\n", 4, "1\tx"),
+        ("0\t0\r\n\r\n1\t2\t3\r\n", 3, "1\t2\t3"),
+        ("0\t0\r1\t\r", 2, "1\t"),
+        ("0\t0\n1\t1.5\n", 2, "1\t1.5"),
+        ("0\t0\n7\n1\t2\t3\n", 2, "7"),
+        ("0\t0\n \n", 2, " "),
+        ("3 4\n", 1, "3 4"),
+        ("0\t0\n0\t1\t2\t3\n", 2, "0\t1\t2\t3"),
+        ("99999999999999999999\t0\n1\tx\n", 2, "1\tx"),
+    ], ids=["blank-lines", "crlf", "cr", "bad-token", "field-counts-that-sum-right",
+            "whitespace-only-line", "space-separated", "two-pairs-on-one-line",
+            "bad-token-after-overflow"])
+    def test_parse_error_names_the_first_bad_line(self, tmp_path, body, lineno, line):
+        path = tmp_path / "p.tsv"
+        path.write_bytes(body.encode("utf-8"))
+        want = f"{path}:{lineno}: expected 'v<TAB>t' integers, got {line!r}"
+        with pytest.raises(ParseError) as exc:
+            read_pairs(path)
+        assert str(exc.value) == want
+
+    def test_line_endings_and_int_forms_parse_like_int(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        path.write_bytes("0\t0\r\n\n+1\t 2 \r3\t\u0663\n00004\t1_0".encode("utf-8"))
+        assert read_pairs(path).pairs.tolist() == [[0, 0], [1, 2], [3, 3], [4, 10]]
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.text(alphabet="019\t\n\r +x", max_size=40))
+    def test_matches_line_by_line_reference(self, tmp_path_factory, body):
+        path = tmp_path_factory.mktemp("pairs") / "p.tsv"
+        path.write_bytes(body.encode("utf-8"))
+        try:
+            want = reference_read_pairs(path)
+        except (ParseError, IndexOutOfRange, DuplicatePair) as exc:
+            with pytest.raises(type(exc)) as got:
+                read_pairs(path)
+            assert str(got.value) == str(exc)
+        else:
+            assert read_pairs(path).pairs.tolist() == want.pairs.tolist()
+
+
+def reference_read_pairs(path):
+    """The line-by-line parser: universal newlines, blank lines skipped,
+    each other line split on one tab into two int() fields."""
+    entries = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.rstrip("\r\n")
+            if not text:
+                continue
+            try:
+                v, t = text.split("\t")
+                entries.append((int(v), int(t)))
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{lineno}: expected 'v<TAB>t' integers, got {text!r}"
+                ) from None
+    return PairSet(pairs=entries)
+
 
 def small_checkpoint(meta=None):
     rng = np.random.default_rng(17)
@@ -361,3 +421,19 @@ class TestCheckpointValidation:
         t = PrototypeBank(modality="text", vectors=rng.standard_normal((2, 3)))
         with pytest.raises(InvariantViolation):
             Checkpoint(bank_v=v, bank_t=t, train_meta=meta)
+
+    @pytest.mark.parametrize(
+        "separator", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                      "\u2028", "\u2029"],
+    )
+    @pytest.mark.parametrize("where", ["key", "value"])
+    def test_every_line_break_of_splitlines_is_rejected(self, separator, where):
+        assert len(f"x{separator}y".splitlines()) == 2
+        meta = {f"a{separator}b": "1"} if where == "key" else {"a": f"x{separator}y"}
+        with pytest.raises(InvariantViolation):
+            small_checkpoint(meta)
+
+    def test_other_control_characters_round_trip(self, tmp_path):
+        ckpt = small_checkpoint({"a\tb": "x\x1fy\x00z"})
+        write_checkpoint(ckpt, tmp_path / "m.paup")
+        assert read_checkpoint(tmp_path / "m.paup").train_meta == {"a\tb": "x\x1fy\x00z"}

@@ -9,13 +9,17 @@ from protouq import (
     PairSet,
     SimilarityMatrix,
     entropy,
+    normalize_rows,
+    similarity_matrix,
     evaluate_retrieval,
     jsd,
     msvd_collision_logprob,
     pearson,
     removal_curve,
+    retrieval_reports,
     softmax,
 )
+from protouq.embed import _RANK_BLOCK, _SimilarityBlocks
 from protouq.errors import (
     EmptyVector,
     InvalidConfig,
@@ -26,7 +30,7 @@ from protouq.errors import (
     TooManyRemoved,
     ZeroVariance,
 )
-from protouq.metrics import _RANK_BLOCK, retrieval_ranks
+from protouq.metrics import retrieval_ranks
 
 DIAG2 = PairSet(pairs=((0, 0), (1, 1)))
 
@@ -145,6 +149,14 @@ class TestEvaluateRetrieval:
         assert report.mnr == 2.5
         assert report.n_queries == 4
 
+    def test_both_directions_in_one_call_match_per_direction_reports(self):
+        rng = np.random.default_rng(72)
+        values = np.round(rng.uniform(-1.0, 1.0, size=(_RANK_BLOCK + 9, 40)), 1)
+        pairs = random_many_to_many(rng, *values.shape)
+        assert retrieval_reports(values, pairs) == [
+            evaluate_retrieval(values, pairs, direction) for direction in ("t2v", "v2t")
+        ]
+
     def test_recall_monotone_in_k(self):
         rng = np.random.default_rng(61)
         values = rng.uniform(-1.0, 1.0, size=(15, 15))
@@ -218,6 +230,22 @@ def naive_survivor_r1(values, pairs, removed, direction):
     return 100.0 * hits / len(kept)
 
 
+def assert_matches_naive_oracle(curve, values, u_v, u_t, pairs, seed):
+    """Every point of curve equals naive_survivor_r1 on the pairs its mode
+    and side remove."""
+    vs, ts = pairs.vision_indices, pairs.text_indices
+    for point in curve.points:
+        r = point.removed
+        for direction, got in (("t2v", point.r1_t2v), ("v2t", point.r1_v2t)):
+            if curve.mode == "random":
+                order = np.random.default_rng([seed, r]).permutation(len(pairs))
+            else:
+                key = u_v[vs] if (direction == "t2v") == (curve.side == "gallery") else u_t[ts]
+                order = np.argsort(-key, kind="stable")
+            removed = set(order[:r].tolist())
+            assert got == naive_survivor_r1(values, pairs, removed, direction)
+
+
 class TestRemovalCurve:
     def test_count_zero_matches_full_evaluation(self):
         values, pairs = hub_matrix()
@@ -275,17 +303,23 @@ class TestRemovalCurve:
             n_pairs = len(pairs)
             counts = sorted({1, n_pairs // 3, n_pairs - 2})
             curve = removal_curve(values, u_v, u_t, pairs, counts, mode=mode, seed=rep, side=side)
-            vs, ts = pairs.vision_indices, pairs.text_indices
-            for point in curve.points:
-                r = point.removed
-                for direction, got in (("t2v", point.r1_t2v), ("v2t", point.r1_v2t)):
-                    if mode == "random":
-                        order = np.random.default_rng([rep, r]).permutation(n_pairs)
-                    else:
-                        key = u_v[vs] if (direction == "t2v") == (side == "gallery") else u_t[ts]
-                        order = np.argsort(-key, kind="stable")
-                    removed = set(order[:r].tolist())
-                    assert got == naive_survivor_r1(values, pairs, removed, direction)
+            assert_matches_naive_oracle(curve, values, u_v, u_t, pairs, seed=rep)
+
+    @pytest.mark.parametrize("mode", ["uncertainty", "random"])
+    def test_streamed_from_embeddings_matches_naive_oracle(self, mode):
+        # tied scores from a few distinct vectors, vision rows past one block
+        rng = np.random.default_rng(71)
+        n_vision, n_text = _RANK_BLOCK + 14, 120
+        vis = normalize_rows(rng.standard_normal((4, 5))[rng.integers(0, 4, n_vision)], "vision")
+        txt = normalize_rows(rng.standard_normal((4, 5))[rng.integers(0, 4, n_text)], "text")
+        pairs = random_many_to_many(rng, n_vision, n_text)
+        u_v = np.round(rng.uniform(0.0, 1.0, n_vision), 1)
+        u_t = np.round(rng.uniform(0.0, 1.0, n_text), 1)
+        counts = [1, len(pairs) // 3, len(pairs) - 2]
+        source = _SimilarityBlocks.of_embeddings(vis, txt)
+        curve = removal_curve(source, u_v, u_t, pairs, counts, mode=mode, seed=5)
+        values = similarity_matrix(vis, txt).values
+        assert_matches_naive_oracle(curve, values, u_v, u_t, pairs, seed=5)
 
     def test_too_many_removed_rejected(self):
         values, pairs = hub_matrix()

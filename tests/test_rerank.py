@@ -6,14 +6,21 @@ import numpy as np
 import pytest
 
 from protouq import (
+    TEXT,
+    VISION,
     PairSet,
     RerankParams,
     SimilarityMatrix,
     apply_rerank,
+    evaluate_reranked,
     evaluate_retrieval,
     fit_betas,
+    normalize_rows,
+    retrieval_ranks,
+    similarity_matrix,
 )
 from protouq import rerank
+from protouq.embed import _SimilarityBlocks
 from protouq.errors import EmptyGrid, InvalidConfig, LengthMismatch
 from protouq.rerank import DEFAULT_BETA_GRID
 
@@ -232,21 +239,21 @@ class TestFitBetas:
         with pytest.raises(InvalidConfig):
             fit_betas(m, u_v, u_t, pairs)
 
-    def test_two_rankings_per_distinct_grid_entry(self, monkeypatch):
-        calls = []
-        original = rerank.retrieval_ranks
+    def test_one_block_pass_for_both_axes(self, monkeypatch):
+        passes = []
+        original = _SimilarityBlocks.blocks
 
-        def counting_ranks(m, pairs, direction):
-            calls.append(direction)
-            return original(m, pairs, direction)
+        def counting_blocks(self, out=None):
+            passes.append(out)
+            return original(self, out)
 
-        monkeypatch.setattr(rerank, "retrieval_ranks", counting_ranks)
+        monkeypatch.setattr(_SimilarityBlocks, "blocks", counting_blocks)
         m, u_v, u_t, pairs = hub_corpus()
         fit_betas(m, u_v, u_t, pairs, grid=(2.0, 0.0, 0.5, 2.0, 0.0))
-        assert sorted(calls) == ["t2v"] * 3 + ["v2t"] * 3
-        calls.clear()
+        assert passes == [None]
+        passes.clear()
         fit_betas(m, u_v, u_t, pairs)
-        assert len(calls) == 2 * len(DEFAULT_BETA_GRID)
+        assert passes == [None]
 
     def test_each_axis_takes_its_smallest_maximizer(self):
         # the hub corpus beside its transpose: text 3 hubs the v2t side and
@@ -280,3 +287,54 @@ class TestFitBetas:
             nonzero[1] += params.beta2 > 0.0
         # the inputs exercise both axes, not just the (0, 0) baseline
         assert min(nonzero) >= 20, nonzero
+
+
+def tied_corpus(seed, n_vision, n_text, d=6, pool=5):
+    """Embeddings drawn from a few distinct vectors per modality, so most
+    similarities tie exactly, with many-to-many pairs and tied u."""
+    rng = np.random.default_rng(seed)
+    vis = normalize_rows(rng.standard_normal((pool, d))[rng.integers(0, pool, n_vision)], VISION)
+    txt = normalize_rows(rng.standard_normal((pool, d))[rng.integers(0, pool, n_text)], TEXT)
+    rows = np.concatenate([
+        np.column_stack([np.arange(n_vision), rng.integers(0, n_text, n_vision)]),
+        np.column_stack([rng.integers(0, n_vision, n_text), np.arange(n_text)]),
+        rng.integers(0, [n_vision, n_text], size=(n_vision // 3 + 2, 2)),
+    ])
+    u_v = np.round(rng.uniform(0.0, 1.0, n_vision), 1)
+    u_t = np.round(rng.uniform(0.0, 1.0, n_text), 1)
+    return vis, txt, PairSet(pairs=np.unique(rows, axis=0)), u_v, u_t
+
+
+class TestStreamedFromEmbeddings:
+    """Rankings read from embedding blocks give the dense matrix's bits."""
+
+    @pytest.mark.parametrize(
+        "n_vision, n_text", [(1, 600), (255, 257), (256, 256), (257, 255), (600, 1)]
+    )
+    def test_ranks_match_dense_matrix_plain_and_reranked(self, n_vision, n_text):
+        vis, txt, pairs, u_v, u_t = tied_corpus(n_vision + n_text, n_vision, n_text)
+        dense = similarity_matrix(vis, txt)
+        source = _SimilarityBlocks.of_embeddings(vis, txt)
+        params = RerankParams(beta1=1.5, beta2=0.75)
+        reranked = apply_rerank(dense, u_v, u_t, params)
+        before, after = rerank._reranked_rankings(source, u_v, u_t, pairs, params)
+        for plain, scaled in zip(before, after):
+            direction = plain.direction
+            assert plain.ranks.tolist() == retrieval_ranks(dense, pairs, direction).tolist()
+            assert scaled.ranks.tolist() == retrieval_ranks(reranked, pairs, direction).tolist()
+            assert plain.ranks.tolist() == retrieval_ranks(source, pairs, direction).tolist()
+        assert evaluate_reranked(source, u_v, u_t, pairs, params) == (
+            [evaluate_retrieval(dense, pairs, d) for d in ("t2v", "v2t")],
+            [evaluate_retrieval(reranked, pairs, d) for d in ("t2v", "v2t")],
+        )
+
+    def test_fit_matches_exhaustive_reference_on_dense_matrix(self):
+        grid = (0.0, 0.5, 1.0, 2.5)
+        nonzero = 0
+        for seed in range(3):
+            vis, txt, pairs, u_v, u_t = tied_corpus(seed, 300, 280)
+            source = _SimilarityBlocks.of_embeddings(vis, txt)
+            params = fit_betas(source, u_v, u_t, pairs, grid=grid)
+            assert params == exhaustive_fit(similarity_matrix(vis, txt), u_v, u_t, pairs, grid)
+            nonzero += params != RerankParams()
+        assert nonzero >= 1
