@@ -235,7 +235,7 @@ def _cmd_rerank(args) -> int:
     fit_only, fixed = (args.grid, args.ckpt_out), (args.beta1, args.beta2)
     if (fixed if args.fit_betas else fit_only) != (None, None):
         args.usage_error("--grid and --ckpt-out need --fit-betas; --beta1 and --beta2 conflict with it")
-    ckpt, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args, _SimilarityBlocks.of_embeddings)
+    ckpt, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args, _SimilarityBlocks)
     if args.fit_betas:
         params = fit_betas(m, u_v, u_t, pairs, grid=args.grid or DEFAULT_BETA_GRID)
         if args.ckpt_out:
@@ -269,7 +269,7 @@ def _cmd_rerank(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    ckpt, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args, _SimilarityBlocks.of_embeddings)
+    ckpt, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args, _SimilarityBlocks)
     if ckpt is None:
         rows = _report_rows(retrieval_reports(m, pairs))
     else:
@@ -323,7 +323,7 @@ def _read_labels_column(path, n_items) -> np.ndarray:
 
 
 def _cmd_analyze_removal(args) -> int:
-    _, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args, _SimilarityBlocks.of_embeddings)
+    _, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args, _SimilarityBlocks)
     if args.counts is not None:
         counts = args.counts
     elif all(0.0 <= f <= 1.0 for f in args.fractions):
@@ -528,8 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ProtoUQError, OSError, MemoryError) as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except (ProtoUQError, OSError, MemoryError, FloatingPointError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

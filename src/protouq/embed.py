@@ -19,7 +19,6 @@ from .errors import (
     EmptyMatrix,
     IndexOutOfRange,
     InvariantViolation,
-    LengthMismatch,
     MissingPositive,
     ModalityMismatch,
     ZeroVector,
@@ -122,6 +121,11 @@ def cosine(u, v) -> float:
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
+# Vision rows per similarity block.  Rankings read the similarities one
+# block at a time, so their temporaries are a few (block x n_text) arrays.
+_RANK_BLOCK = 256
+
+
 @dataclass(frozen=True)
 class SimilarityMatrix:
     """Cosine similarities with vision instances on rows, text on columns."""
@@ -146,6 +150,16 @@ class SimilarityMatrix:
     def cols(self) -> int:
         return self.values.shape[1]
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.values.shape
+
+    def blocks(self):
+        """(start, block) per _RANK_BLOCK rows, the block a read-only view of
+        rows start, start + 1, ... of values: a block source, never a copy."""
+        for start in range(0, self.rows, _RANK_BLOCK):
+            yield start, self.values[start:start + _RANK_BLOCK]
+
 
 def _check_cross_modal(vis: EmbeddingSet, txt: EmbeddingSet) -> None:
     if vis.modality != VISION or txt.modality != TEXT:
@@ -156,70 +170,47 @@ def _check_cross_modal(vis: EmbeddingSet, txt: EmbeddingSet) -> None:
         raise DimensionMismatch(f"dimension mismatch: {vis.d} vs {txt.d}")
 
 
-# Vision rows per similarity block.  Rankings read the similarities one
-# block at a time, so their temporaries are a few (block x n_text) arrays.
-_RANK_BLOCK = 256
-
-
 class _SimilarityBlocks:
-    """The one block source of similarities, vision on rows and text on
-    columns, _RANK_BLOCK vision rows at a time.
+    """A vision and a text set's similarities as a block source, with no
+    n_v x n_t matrix: blocks() yields (start, clip(X_v[rows] @ X_t.T, -1, 1))
+    for rows start, start + 1, ..., each in the one writable buffer the next
+    overwrites.  similarity_matrix stacks these same blocks, so a ranking
+    streamed from embeddings sees the dense matrix's bits."""
 
-    blocks() yields (start, block), block holding rows start, start + 1, ...
-    of M.  Built from embeddings, a block is clip(X_v[rows] @ X_t.T, -1, 1)
-    and no n_v x n_t matrix exists; built from a stored matrix, it is a copy
-    of rows of its values.  similarity_matrix stacks these same blocks, so a
-    ranking streamed from embeddings sees the dense matrix's bits.
-    """
-
-    def __init__(self, shape, fill):
-        self.shape = shape
-        self._fill = fill
-
-    @classmethod
-    def of_embeddings(cls, vis: EmbeddingSet, txt: EmbeddingSet) -> "_SimilarityBlocks":
+    def __init__(self, vis: EmbeddingSet, txt: EmbeddingSet):
         _check_cross_modal(vis, txt)
+        self._vis, self._txt = vis.vectors, txt.vectors
+        self.shape = (vis.n, txt.n)
 
-        def fill(rows, out):
-            np.matmul(vis.vectors[rows], txt.vectors.T, out=out)
-            np.clip(out, -1.0, 1.0, out=out)
+    def blocks(self):
+        buffer = np.empty((min(self.shape[0], _RANK_BLOCK), self.shape[1]))
+        for start in range(0, self.shape[0], _RANK_BLOCK):
+            rows = self._vis[start:start + _RANK_BLOCK]
+            block = np.matmul(rows, self._txt.T, out=buffer[:len(rows)])
+            yield start, np.clip(block, -1.0, 1.0, out=block)
 
-        return cls((vis.n, txt.n), fill)
 
-    @classmethod
-    def of_matrix(cls, m) -> "_SimilarityBlocks":
-        """m itself if it already is a block source, else a stored
-        SimilarityMatrix or finite, nonempty 2-D array as one."""
-        if isinstance(m, cls):
-            return m
-        values = m.values if isinstance(m, SimilarityMatrix) else np.asarray(m, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-            raise LengthMismatch("similarity matrix must be 2-D and nonempty")
-        if not np.isfinite(values).all():
-            raise InvariantViolation("similarity entries must be finite")
-        return cls(values.shape, lambda rows, out: np.copyto(out, values[rows]))
+def _block_source(m):
+    """m itself if it is a block source, else a SimilarityMatrix of a
+    read-only view of m, so the caller's array stays writable."""
+    if isinstance(m, (SimilarityMatrix, _SimilarityBlocks)):
+        return m
+    return SimilarityMatrix(values=np.asarray(m, dtype=np.float64).view())
 
-    def blocks(self, out=None):
-        """(start, block) for every block of rows.  Blocks are written into
-        out's rows when out is given, else into one buffer that the next
-        block overwrites, so a pass holds one block at a time."""
-        n_rows, n_cols = self.shape
-        buffer = np.empty((min(n_rows, _RANK_BLOCK), n_cols)) if out is None else None
-        for start in range(0, n_rows, _RANK_BLOCK):
-            rows = slice(start, min(start + _RANK_BLOCK, n_rows))
-            block = out[rows] if out is not None else buffer[:rows.stop - start]
-            self._fill(rows, block)
-            yield start, block
+
+def _stacked(shape, blocks) -> SimilarityMatrix:
+    """The SimilarityMatrix whose rows the (start, block) pairs hold."""
+    values = np.empty(shape)
+    for start, block in blocks:
+        values[start:start + len(block)] = block
+    return SimilarityMatrix(values=values)
 
 
 def similarity_matrix(vis: EmbeddingSet, txt: EmbeddingSet) -> SimilarityMatrix:
     """Full cosine matrix between a vision set (rows) and a text set
     (columns), built from the blocks every ranking reads."""
-    source = _SimilarityBlocks.of_embeddings(vis, txt)
-    values = np.empty(source.shape)
-    for _ in source.blocks(out=values):
-        pass
-    return SimilarityMatrix(values=values)
+    source = _SimilarityBlocks(vis, txt)
+    return _stacked(source.shape, source.blocks())
 
 
 def _batch_means(xv: np.ndarray, xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -91,7 +91,8 @@ def evidence_slope(s, cfg: EvidenceConfig = EvidenceConfig()):
     elif cfg.kind == SOFTPLUS:
         scaled = cfg.gamma * arr
         capped = np.minimum(scaled, cfg.theta)
-        sigmoid = 1.0 / (1.0 + np.exp(-capped))
+        with np.errstate(over="ignore"):  # exp(-capped) = inf gives the limit 0
+            sigmoid = 1.0 / (1.0 + np.exp(-capped))
         out = np.where(scaled <= cfg.theta, sigmoid, 1.0)
     else:
         out = np.exp(arr / cfg.tau) / cfg.tau

@@ -10,11 +10,12 @@ v2t treats each vision row as a query over the text columns.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import PairSet, _SimilarityBlocks
+from .embed import PairSet, _block_source
 from .errors import (
     EmptyVector,
     InvalidConfig,
@@ -57,7 +58,7 @@ class RetrievalReport:
 def _similarities_and_uncertainties(m, u_v, u_t):
     """m as a block source, then u_v and u_t as float vectors with one
     finite, nonnegative entry per vision row and per text column."""
-    source = _SimilarityBlocks.of_matrix(m)
+    source = _block_source(m)
     u_v = np.asarray(u_v, dtype=np.float64).ravel()
     u_t = np.asarray(u_t, dtype=np.float64).ravel()
     if (u_v.size, u_t.size) != source.shape:
@@ -156,7 +157,7 @@ def _rank_pass(source, rankings) -> None:
 def _rankings(m, pairs: PairSet, directions) -> list[_BestPositiveRanks]:
     """The ranks of m in each of directions, from a pair-score pass and one
     ranking pass."""
-    source = _SimilarityBlocks.of_matrix(m)
+    source = _block_source(m)
     pairs.check_against(*source.shape)
     scores = _pair_scores(source, pairs)
     rankings = [_BestPositiveRanks(d, source.shape, pairs, scores) for d in directions]
@@ -262,6 +263,8 @@ def removal_curve(
         raise InvalidConfig(f"unknown removal mode {mode!r}")
     if side not in (GALLERY_SIDE, QUERY_SIDE):
         raise InvalidConfig(f"unknown removal side {side!r}")
+    if seed < 0:
+        raise InvalidConfig(f"seed must be unsigned, got {seed}")
     pairs.check_against(*source.shape)
     counts = [int(c) for c in counts]
     if any(c < 0 for c in counts):
@@ -369,5 +372,7 @@ def msvd_collision_logprob(n_captions: int, batch: int, group: int) -> float:
         raise InvalidCounts(
             f"need n_captions >= batch * group, got {n_captions} < {batch * group}"
         )
+    if n_captions > sys.float_info.max:
+        raise InvalidCounts("n_captions exceeds the float64 range")
     i = np.arange(batch, dtype=np.float64)
     return float(np.sum(np.log(n_captions - group * i) - np.log(n_captions - i)))

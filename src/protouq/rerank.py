@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import PairSet, SimilarityMatrix
+from .embed import PairSet, SimilarityMatrix, _block_source, _stacked
 from .errors import EmptyGrid, InvalidConfig
 from .metrics import (
     DIRECTIONS,
@@ -46,20 +46,21 @@ def _scales(u_v, u_t, params: RerankParams):
 
 
 def _rescale(block, start, scales) -> np.ndarray:
-    """Scale a block of rows in place the way apply_rerank scales the whole
-    matrix: (m * row_scale) * col_scale."""
+    """Scale a block of rows the way apply_rerank scales the whole matrix,
+    (m * row_scale) * col_scale: in place in a writable block, into a new
+    array for a stored matrix's read-only view."""
     row_scale, col_scale = scales
-    block *= row_scale[start:start + len(block), None]
-    block *= col_scale
-    return block
+    out = block if block.flags.writeable else None
+    block = np.multiply(block, row_scale[start:start + len(block), None], out=out)
+    return np.multiply(block, col_scale, out=block)
 
 
-def _reranked_rows(m, u_v, u_t, params: RerankParams, out=None):
+def _reranked_rows(m, u_v, u_t, params: RerankParams):
     """(start, rows) of apply_rerank(m, u_v, u_t, params), one block of
-    vision rows at a time (written into out when given)."""
+    vision rows at a time."""
     source, u_v, u_t = _similarities_and_uncertainties(m, u_v, u_t)
     scales = _scales(u_v, u_t, params)
-    for start, block in source.blocks(out=out):
+    for start, block in source.blocks():
         yield start, _rescale(block, start, scales)
 
 
@@ -72,11 +73,8 @@ def apply_rerank(m, u_v, u_t, params: RerankParams) -> SimilarityMatrix:
     = 0 both factors are exactly 1.0 and the values pass through bit for
     bit.
     """
-    source, u_v, u_t = _similarities_and_uncertainties(m, u_v, u_t)
-    out = np.empty(source.shape)
-    for _ in _reranked_rows(source, u_v, u_t, params, out=out):
-        pass
-    return SimilarityMatrix(values=out)
+    source = _block_source(m)
+    return _stacked(source.shape, _reranked_rows(source, u_v, u_t, params))
 
 
 def _reranked_rankings(source, u_v, u_t, pairs: PairSet, params: RerankParams):
@@ -92,7 +90,7 @@ def _reranked_rankings(source, u_v, u_t, pairs: PairSet, params: RerankParams):
     for start, block in source.blocks():
         for ranking in before:
             ranking.add(start, block)
-        _rescale(block, start, scales)
+        block = _rescale(block, start, scales)
         for ranking in after:
             ranking.add(start, block)
     return before, after

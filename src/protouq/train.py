@@ -108,6 +108,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be unsigned, got {self.seed}")
         if self.k < 1:
             raise InvalidConfig(f"k must be >= 1, got {self.k}")
         if self.batch_size < 2:

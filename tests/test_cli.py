@@ -402,6 +402,10 @@ class TestWriteCsv:
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
+def corpus_args(pipeline):
+    return ["--vis", pipeline["vis"], "--txt", pipeline["txt"], "--pairs", pipeline["pairs"]]
+
+
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
@@ -440,6 +444,48 @@ class TestRuntimeErrors:
         # it at once even where the kernel overcommits memory.
         assert run(["analyze", "msvd-prob", "--n", str(10**30),
                     "--batch", str(10**15), "--group", "1"]) == 1
+        assert_one_line_error(capsys)
+
+    def test_negative_train_seed(self, pipeline, tmp_path, capsys):
+        assert run(["train", *corpus_args(pipeline), "--ckpt", str(tmp_path / "m.paup"),
+                    "--epochs", "1", "--seed", "-1"]) == 1
+        assert_one_line_error(capsys)
+
+    def test_negative_removal_seed(self, pipeline, capsys):
+        assert run(["analyze", "removal-curve", *corpus_args(pipeline), "--ckpt", pipeline["ckpt"],
+                    "--mode", "random", "--seed", "-1"]) == 1
+        assert_one_line_error(capsys)
+
+    def test_msvd_count_beyond_float64(self, capsys):
+        assert run(["analyze", "msvd-prob", "--n", "1" + "0" * 400,
+                    "--batch", "2", "--group", "1"]) == 1
+        assert_one_line_error(capsys)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flags", [
+        ["--tau", "1e-300"],
+        ["--epochs", "2", "--lr", "1e300"],
+        ["--lambda-div", "1e300"],
+        ["--evidence", "softplus", "--gamma", "1e-300"],
+        ["--evidence", "softplus", "--gamma", "5e-324"],
+    ], ids=["tau", "lr", "lambda-div", "gamma-tiny", "gamma-subnormal"])
+    def test_float_overflow_is_one_error_line(self, pipeline, tmp_path, capsys, flags):
+        assert run(["train", *corpus_args(pipeline), "--ckpt", str(tmp_path / "m.paup"),
+                    "--epochs", "1", *flags]) == 1
+        assert_one_line_error(capsys)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_softplus_slope_limit_is_no_overflow(self, pipeline, tmp_path, capsys):
+        # gamma * s far below 0: exp(-gamma * s) is inf and the slope its limit 0
+        assert run(["train", *corpus_args(pipeline), "--ckpt", str(tmp_path / "m.paup"),
+                    "--epochs", "2", "--evidence", "softplus", "--gamma", "1e300"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_noise_overflow_is_one_error_line(self, tmp_path, capsys):
+        assert run(["gen-synth", "--vis", str(tmp_path / "v"), "--txt", str(tmp_path / "t"),
+                    "--pairs", str(tmp_path / "p"), "--n-items", "20", "--d", "8",
+                    "--noise-sigma", "1e308"]) == 1
         assert_one_line_error(capsys)
 
     def test_non_finite_csv_embeddings(self, pipeline, tmp_path, capsys):

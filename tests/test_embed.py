@@ -14,6 +14,7 @@ from protouq import (
     normalize_rows,
     similarity_matrix,
 )
+from protouq.embed import _RANK_BLOCK
 from protouq.errors import (
     DimensionMismatch,
     DimensionTooSmall,
@@ -146,6 +147,17 @@ class TestSimilarityMatrix:
         m = SimilarityMatrix(values=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             m.values[0, 0] = 1.0
+
+    def test_blocks_are_read_only_views_of_values(self):
+        values = np.random.default_rng(4).uniform(-1.0, 1.0, (2 * _RANK_BLOCK + 5, 3))
+        m = SimilarityMatrix(values=values)
+        assert m.shape == (2 * _RANK_BLOCK + 5, 3)
+        blocks = list(m.blocks())
+        assert [start for start, _ in blocks] == [0, _RANK_BLOCK, 2 * _RANK_BLOCK]
+        for _, block in blocks:
+            assert np.shares_memory(block, m.values)
+            assert not block.flags.writeable
+        assert np.array_equal(np.concatenate([block for _, block in blocks]), m.values)
 
 
 class TestSimilarityMatrixBuilder:

@@ -24,6 +24,7 @@ from protouq.errors import (
     EmptyVector,
     InvalidConfig,
     InvalidCounts,
+    InvariantViolation,
     LengthMismatch,
     MissingPositive,
     NotADistribution,
@@ -123,6 +124,11 @@ class TestRetrievalRanks:
     def test_unknown_direction_rejected(self):
         with pytest.raises(InvalidConfig):
             retrieval_ranks(np.zeros((2, 2)), DIAG2, "i2t")
+
+    def test_raw_array_outside_unit_interval_rejected(self):
+        # a raw array is checked as a SimilarityMatrix is
+        with pytest.raises(InvariantViolation):
+            retrieval_ranks(np.array([[1.5, 0.0], [0.0, 1.0]]), DIAG2, "v2t")
 
     def test_uncovered_query_rejected(self):
         with pytest.raises(MissingPositive):
@@ -316,7 +322,7 @@ class TestRemovalCurve:
         u_v = np.round(rng.uniform(0.0, 1.0, n_vision), 1)
         u_t = np.round(rng.uniform(0.0, 1.0, n_text), 1)
         counts = [1, len(pairs) // 3, len(pairs) - 2]
-        source = _SimilarityBlocks.of_embeddings(vis, txt)
+        source = _SimilarityBlocks(vis, txt)
         curve = removal_curve(source, u_v, u_t, pairs, counts, mode=mode, seed=5)
         values = similarity_matrix(vis, txt).values
         assert_matches_naive_oracle(curve, values, u_v, u_t, pairs, seed=5)
@@ -342,6 +348,11 @@ class TestRemovalCurve:
             removal_curve(values, np.zeros(4), np.zeros(4), pairs, [1], mode="greedy")
         with pytest.raises(InvalidConfig):
             removal_curve(values, np.zeros(4), np.zeros(4), pairs, [1], side="both")
+
+    def test_negative_seed_rejected(self):
+        values, pairs = hub_matrix()
+        with pytest.raises(InvalidConfig):
+            removal_curve(values, np.zeros(4), np.zeros(4), pairs, [1], mode="random", seed=-1)
 
     def test_uncertainty_length_validated(self):
         values, pairs = hub_matrix()
@@ -482,3 +493,7 @@ class TestMsvdCollisionLogprob:
             msvd_collision_logprob(100, 4, 0)
         with pytest.raises(InvalidCounts):
             msvd_collision_logprob(10, 4, 4)
+
+    def test_count_beyond_float64_rejected(self):
+        with pytest.raises(InvalidCounts):
+            msvd_collision_logprob(10**400, 2, 1)

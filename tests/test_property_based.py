@@ -4,6 +4,8 @@ Anything asserted here must hold for every input in the stated domain,
 not just the seeded examples the other test files pin down.
 """
 
+import contextlib
+import io
 import struct
 
 import numpy as np
@@ -264,3 +266,75 @@ def test_any_comma_list_flag_value_exits_0_1_or_2(cli_corpus, flag, text):
         assert run(argv) in (0, 1)
     except SystemExit as exc:
         assert exc.code == 2
+
+
+# Flag values as the command line would spell them.  Flags that size an
+# allocation or a loop stay small; seeds, counts, rates, temperatures, noise
+# and betas range over every int or float, negative, huge and subnormal.
+small_int_text = st.integers(min_value=-2, max_value=12).map(str)
+int_text = st.one_of(st.integers(), st.integers(min_value=-10**400, max_value=10**400)).map(str)
+float_text = st.floats().map(repr)
+
+NUMERIC_FLAGS = {
+    "gen-synth": {
+        "--n-items": small_int_text, "--d": small_int_text, "--k-true": small_int_text,
+        "--captions-per-item": small_int_text, "--noise-sigma": float_text, "--seed": int_text,
+    },
+    "train": {
+        "--k": small_int_text, "--epochs": small_int_text, "--batch-size": int_text,
+        "--lr": float_text, "--lambda-div": float_text, "--tau": float_text,
+        "--gamma": float_text, "--theta": float_text, "--beta1": float_text,
+        "--beta2": float_text, "--seed": int_text,
+        "--evidence": st.sampled_from(["relu", "softplus", "exponential"]),
+    },
+    "rerank": {"--beta1": float_text, "--beta2": float_text},
+    "removal-curve": {"--seed": int_text},
+    "msvd-prob": {"--n": int_text, "--batch": small_int_text, "--group": small_int_text},
+}
+numeric_flag_runs = st.sampled_from(sorted(NUMERIC_FLAGS)).flatmap(
+    lambda command: st.tuples(
+        st.just(command), st.fixed_dictionaries({}, optional=NUMERIC_FLAGS[command])
+    )
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150)
+@given(numeric_flag_runs)
+@example(("train", {"--seed": "-1"}))
+@example(("removal-curve", {"--seed": "-1"}))
+@example(("msvd-prob", {"--n": "1" + "0" * 400, "--batch": "2", "--group": "1"}))
+@example(("gen-synth", {"--noise-sigma": "1e308"}))
+@example(("train", {"--tau": "1e-300"}))
+@example(("train", {"--epochs": "2", "--lr": "1e300"}))
+@example(("train", {"--lambda-div": "1e300"}))
+@example(("train", {"--evidence": "softplus", "--gamma": "1e300"}))
+@example(("train", {"--evidence": "softplus", "--gamma": "1e-300"}))
+@example(("train", {"--evidence": "softplus", "--gamma": "5e-324"}))
+def test_any_numeric_flag_value_exits_0_1_or_2(cli_corpus, run_and_flags):
+    """Exit 0 with a clean stderr, exit 1 with one error line, or a usage
+    error; never a traceback or a NumPy warning."""
+    root, corpus = cli_corpus
+    command, flags = run_and_flags
+    base = {
+        "gen-synth": ["gen-synth", "--vis", str(root / "gv"), "--txt", str(root / "gt"),
+                      "--pairs", str(root / "gp"), "--n-items", "6", "--d", "4", "--k-true", "4"],
+        "train": ["train", *corpus[:6], "--ckpt", str(root / "fuzz.paup"),
+                  "--epochs", "1", "--k", "3"],
+        "rerank": ["rerank", *corpus],
+        "removal-curve": ["analyze", "removal-curve", *corpus, "--mode", "random"],
+        "msvd-prob": ["analyze", "msvd-prob", "--n", "100", "--batch", "2", "--group", "1"],
+    }[command]
+    argv = base + [item for flag_value in flags.items() for item in flag_value]
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error:")

@@ -16,11 +16,12 @@ from protouq import (
     evaluate_retrieval,
     fit_betas,
     normalize_rows,
+    removal_curve,
     retrieval_ranks,
     similarity_matrix,
 )
 from protouq import rerank
-from protouq.embed import _SimilarityBlocks
+from protouq.embed import _RANK_BLOCK, _SimilarityBlocks
 from protouq.errors import EmptyGrid, InvalidConfig, LengthMismatch
 from protouq.rerank import DEFAULT_BETA_GRID
 
@@ -241,19 +242,19 @@ class TestFitBetas:
 
     def test_one_block_pass_for_both_axes(self, monkeypatch):
         passes = []
-        original = _SimilarityBlocks.blocks
+        original = SimilarityMatrix.blocks
 
-        def counting_blocks(self, out=None):
-            passes.append(out)
-            return original(self, out)
+        def counting_blocks(self):
+            passes.append(self)
+            return original(self)
 
-        monkeypatch.setattr(_SimilarityBlocks, "blocks", counting_blocks)
+        monkeypatch.setattr(SimilarityMatrix, "blocks", counting_blocks)
         m, u_v, u_t, pairs = hub_corpus()
         fit_betas(m, u_v, u_t, pairs, grid=(2.0, 0.0, 0.5, 2.0, 0.0))
-        assert passes == [None]
+        assert [id(source) for source in passes] == [id(m)]
         passes.clear()
         fit_betas(m, u_v, u_t, pairs)
-        assert passes == [None]
+        assert [id(source) for source in passes] == [id(m)]
 
     def test_each_axis_takes_its_smallest_maximizer(self):
         # the hub corpus beside its transpose: text 3 hubs the v2t side and
@@ -314,7 +315,7 @@ class TestStreamedFromEmbeddings:
     def test_ranks_match_dense_matrix_plain_and_reranked(self, n_vision, n_text):
         vis, txt, pairs, u_v, u_t = tied_corpus(n_vision + n_text, n_vision, n_text)
         dense = similarity_matrix(vis, txt)
-        source = _SimilarityBlocks.of_embeddings(vis, txt)
+        source = _SimilarityBlocks(vis, txt)
         params = RerankParams(beta1=1.5, beta2=0.75)
         reranked = apply_rerank(dense, u_v, u_t, params)
         before, after = rerank._reranked_rankings(source, u_v, u_t, pairs, params)
@@ -333,8 +334,38 @@ class TestStreamedFromEmbeddings:
         nonzero = 0
         for seed in range(3):
             vis, txt, pairs, u_v, u_t = tied_corpus(seed, 300, 280)
-            source = _SimilarityBlocks.of_embeddings(vis, txt)
+            source = _SimilarityBlocks(vis, txt)
             params = fit_betas(source, u_v, u_t, pairs, grid=grid)
             assert params == exhaustive_fit(similarity_matrix(vis, txt), u_v, u_t, pairs, grid)
             nonzero += params != RerankParams()
         assert nonzero >= 1
+
+
+RANKINGS = {
+    "retrieval_ranks": lambda m, u_v, u_t, pairs: retrieval_ranks(m, pairs, "t2v"),
+    "evaluate_reranked": lambda m, u_v, u_t, pairs: evaluate_reranked(
+        m, u_v, u_t, pairs, RerankParams(beta1=1.0, beta2=2.0)
+    ),
+    "apply_rerank": lambda m, u_v, u_t, pairs: apply_rerank(
+        m, u_v, u_t, RerankParams(beta1=1.0, beta2=2.0)
+    ),
+    "fit_betas": lambda m, u_v, u_t, pairs: fit_betas(m, u_v, u_t, pairs),
+    "removal_curve": lambda m, u_v, u_t, pairs: removal_curve(m, u_v, u_t, pairs, [1, 5]),
+}
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["raw-array", "SimilarityMatrix"])
+@pytest.mark.parametrize("name", sorted(RANKINGS))
+def test_ranking_leaves_its_input_unchanged(name, stored):
+    # past one block, so the read-only views of a stored matrix get scaled
+    rng = np.random.default_rng(86)
+    n_vision, n_text = _RANK_BLOCK + 3, 7
+    values = rng.uniform(-1.0, 1.0, (n_vision, n_text))
+    expected = values.copy()
+    pairs = PairSet(pairs=[(i, i % n_text) for i in range(n_vision)])
+    u_v, u_t = rng.uniform(0.0, 1.0, n_vision), rng.uniform(0.0, 1.0, n_text)
+    m = SimilarityMatrix(values=values.copy()) if stored else values
+    RANKINGS[name](m, u_v, u_t, pairs)
+    assert (m.values if stored else m).tobytes() == expected.tobytes()
+    if not stored:
+        assert values.flags.writeable

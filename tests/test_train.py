@@ -118,6 +118,7 @@ class TestTrainConfig:
             {"lambda_div": -0.5},
             {"h_mapping": "sigmoid"},
             {"learning_rate": float("nan")},
+            {"seed": -1},
         ],
     )
     def test_bad_values_rejected(self, overrides):
