@@ -39,20 +39,32 @@ def _as_float_matrix(matrix) -> np.ndarray:
     return out
 
 
+# Rows per block of the O(n * d) row passes (norms here, the float32
+# conversion in fileio.write_embeddings), so their temporaries are
+# (block x d) arrays, not a second copy of the matrix.
+_ROW_BLOCK = 1024
+
+
 def _checked_rows(matrix) -> tuple[np.ndarray, np.ndarray]:
     """A nonempty (n, d >= 2) float matrix of finite rows, with its row norms.
 
     A NaN or infinite entry makes its row's norm non-finite, so checking the
     n norms rejects every non-finite matrix without a pass over n * d (and a
     row whose norm overflows float64, which could not be normalized anyway).
+    The norms are sqrt(add.reduce(x * x, axis=1)) per row block, the bits
+    np.linalg.norm(x, axis=1) gives without its full-size temporaries.
     """
     out = _as_float_matrix(matrix)
     if out.shape[0] < 1:
         raise EmptyMatrix("matrix needs at least one row")
     if out.shape[1] < 2:
         raise DimensionTooSmall(f"row dimension must be >= 2, got {out.shape[1]}")
+    norms = np.empty(out.shape[0])
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(out, axis=1)
+        for start in range(0, out.shape[0], _ROW_BLOCK):
+            rows = out[start:start + _ROW_BLOCK]
+            np.add.reduce(rows * rows, axis=1, out=norms[start:start + _ROW_BLOCK])
+    np.sqrt(norms, out=norms)
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
         raise InvariantViolation(f"row {int(bad[0])} has a NaN, infinite or overflowing norm")
@@ -92,6 +104,9 @@ class EmbeddingSet:
 def normalize_rows(matrix, modality: str) -> EmbeddingSet:
     """L2-normalize each row of ``matrix`` into an EmbeddingSet.
 
+    Allocates one float64 copy of ``matrix``, divided in place; the
+    caller's array is left as it was.
+
     Args:
         matrix: (n, d) array-like of raw embeddings.
         modality: "vision" or "text".
@@ -101,11 +116,18 @@ def normalize_rows(matrix, modality: str) -> EmbeddingSet:
         DimensionTooSmall: d < 2.
         InvariantViolation: an entry is NaN or infinite, or a row norm overflows.
     """
-    raw, norms = _checked_rows(matrix)
+    return _normalized(np.array(matrix, dtype=np.float64), modality)
+
+
+def _normalized(raw: np.ndarray, modality: str) -> EmbeddingSet:
+    """normalize_rows of a float64 array the caller gives up: its rows are
+    divided in place and it becomes the set's read-only vectors."""
+    raw, norms = _checked_rows(raw)
     bad = np.flatnonzero(norms < _NORM_EPS)
     if bad.size:
         raise ZeroVector(f"row {int(bad[0])} has near-zero norm and cannot be normalized")
-    return EmbeddingSet(modality=modality, vectors=raw / norms[:, None])
+    raw /= norms[:, None]
+    return EmbeddingSet(modality=modality, vectors=raw)
 
 
 def cosine(u, v) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import TEXT, VISION, EmbeddingSet, PairSet, normalize_rows
+from .embed import _ROW_BLOCK, TEXT, VISION, EmbeddingSet, PairSet, _normalized
 from .errors import (
     BadMagic,
     DimensionMismatch,
@@ -72,14 +72,15 @@ def _atomic_write(path, mode="wb", **open_kwargs):
 
 
 class _Cursor:
-    """Sequential reader over a fully loaded file that typed-errors on EOF."""
+    """Sequential reader over a fully loaded file that typed-errors on EOF.
+    take() returns views of the file's bytes, never copies."""
 
     def __init__(self, blob: bytes, path):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.path = path
         self.pos = 0
 
-    def take(self, count: int) -> bytes:
+    def take(self, count: int) -> memoryview:
         end = self.pos + count
         if end > len(self.blob):
             raise TruncatedFile(
@@ -94,8 +95,9 @@ class _Cursor:
         return fmt.unpack(self.take(fmt.size))
 
     def take_f32(self, rows: int, cols: int) -> np.ndarray:
-        """A rows x cols float32 block as float64.  A signaling NaN becomes a
-        quiet NaN without a RuntimeWarning, for the row checks to reject."""
+        """A rows x cols float32 block as a new float64 array, its only
+        allocation.  A signaling NaN becomes a quiet NaN without a
+        RuntimeWarning, for the row checks to reject."""
         raw = np.frombuffer(self.take(4 * rows * cols), dtype="<f4")
         with np.errstate(invalid="ignore"):
             return raw.astype(np.float64).reshape(rows, cols)
@@ -135,12 +137,15 @@ def _check_magic_version(cur: _Cursor, expected_magic: bytes) -> None:
 
 
 def write_embeddings(embeddings: EmbeddingSet, path) -> None:
+    """Write a "PAUE" file: the header, then the rows as float32, converted
+    one row block at a time."""
     header = _MAGIC_VERSION.pack(EMBEDDINGS_MAGIC, FORMAT_VERSION) + _EMBED_HEADER.pack(
         _MODALITY_CODES[embeddings.modality], embeddings.n, embeddings.d
     )
-    payload = np.ascontiguousarray(embeddings.vectors, dtype="<f4").tobytes()
     with _atomic_write(path) as fh:
-        fh.write(header + payload)
+        fh.write(header)
+        for start in range(0, embeddings.n, _ROW_BLOCK):
+            fh.write(embeddings.vectors[start:start + _ROW_BLOCK].astype("<f4"))
 
 
 def read_embeddings(path) -> EmbeddingSet:
@@ -148,7 +153,9 @@ def read_embeddings(path) -> EmbeddingSet:
 
     Stored vectors are float32, so unit norms hold only to float32
     precision; re-normalizing restores the EmbeddingSet invariant and
-    surfaces genuinely zero rows as ZeroVector.
+    surfaces genuinely zero rows as ZeroVector.  Beside the file's bytes,
+    the read allocates one float64 copy of the payload, normalized in
+    place into the returned set, and row-block temporaries.
     """
     with open(path, "rb") as fh:
         cur = _Cursor(fh.read(), path)
@@ -158,7 +165,7 @@ def read_embeddings(path) -> EmbeddingSet:
         raise InvariantViolation(f"{path}: unknown modality byte {modality_code}")
     matrix = cur.take_f32(n, d)
     cur.done()
-    return normalize_rows(matrix, _MODALITY_NAMES[modality_code])
+    return _normalized(matrix, _MODALITY_NAMES[modality_code])
 
 
 def read_embeddings_csv(path, modality: str) -> EmbeddingSet:
@@ -189,7 +196,7 @@ def read_embeddings_csv(path, modality: str) -> EmbeddingSet:
         rows.append(values)
     if not rows:
         raise ParseError(f"{path}: no vector rows")
-    return normalize_rows(np.array(rows, dtype=np.float64), modality)
+    return _normalized(np.array(rows, dtype=np.float64), modality)
 
 
 # ---- pairs ----
@@ -311,7 +318,7 @@ def read_checkpoint(path) -> Checkpoint:
     meta_bytes = cur.take(meta_len)
     cur.done()
     try:
-        meta_text = meta_bytes.decode("utf-8")
+        meta_text = str(meta_bytes, "utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: metadata is not UTF-8 text ({exc.reason})") from None
     meta: dict = {}

@@ -374,5 +374,7 @@ def msvd_collision_logprob(n_captions: int, batch: int, group: int) -> float:
         )
     if n_captions > sys.float_info.max:
         raise InvalidCounts("n_captions exceeds the float64 range")
+    if batch > np.iinfo(np.intp).max:
+        raise InvalidCounts("batch exceeds the array index range")
     i = np.arange(batch, dtype=np.float64)
     return float(np.sum(np.log(n_captions - group * i) - np.log(n_captions - i)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import TEXT, VISION, EmbeddingSet, PairSet, normalize_rows
+from .embed import TEXT, VISION, EmbeddingSet, PairSet, _normalized
 from .errors import InvalidSpec
 
 _WEIGHT_TOL = 1e-9
@@ -130,6 +130,11 @@ def generate_corpus(
     sets, vision noise, text noise) so output is a pure function of spec.
     Every caption of an item reuses the item's direction sum with its own
     noise, so captions agree on semantics but are not clones.
+
+    Each set is its own noise draw, scaled, shifted by the item directions
+    and normalized in place: beside the two float64 sets, the corpus
+    allocates only the (n_items, d) direction sums, the pairs and
+    row-block temporaries.
     """
     rng = np.random.default_rng(spec.seed)
     directions = latent_directions(spec.k_true, spec.d, rng)
@@ -145,11 +150,17 @@ def generate_corpus(
     for i, chosen in enumerate(chosen_sets):
         base[i] = directions[list(chosen)].sum(axis=0)
 
+    # base + sigma * noise in place: a product or sum rounds the same in
+    # either operand order.  Captions of item i are rows i * cpi, ...,
+    # i * cpi + cpi - 1, so base adds through an (n_items, cpi, d) view.
     cpi = spec.captions_per_item
-    vis_raw = base + spec.noise_sigma * rng.standard_normal((spec.n_items, spec.d))
-    txt_raw = np.repeat(base, cpi, axis=0) + spec.noise_sigma * rng.standard_normal(
-        (spec.n_items * cpi, spec.d)
-    )
+    vis_raw = rng.standard_normal((spec.n_items, spec.d))
+    vis_raw *= spec.noise_sigma
+    vis_raw += base
+    txt_raw = rng.standard_normal((spec.n_items * cpi, spec.d))
+    txt_raw *= spec.noise_sigma
+    per_item = txt_raw.reshape(spec.n_items, cpi, spec.d)
+    per_item += base[:, None, :]
 
     captions = np.arange(spec.n_items * cpi)
     pairs = PairSet(pairs=np.stack([captions // cpi, captions], axis=1))
@@ -157,8 +168,8 @@ def generate_corpus(
         counts=tuple(int(m) for m in ms), semantic_sets=chosen_sets
     )
     return (
-        normalize_rows(vis_raw, VISION),
-        normalize_rows(txt_raw, TEXT),
+        _normalized(vis_raw, VISION),
+        _normalized(txt_raw, TEXT),
         pairs,
         labels,
     )

@@ -446,6 +446,11 @@ class TestRuntimeErrors:
                     "--batch", str(10**15), "--group", "1"]) == 1
         assert_one_line_error(capsys)
 
+    def test_msvd_batch_beyond_index_range(self, capsys):
+        assert run(["analyze", "msvd-prob", "--n", "1000000000000000000000000000000",
+                    "--batch", "100000000000000000000", "--group", "1"]) == 1
+        assert_one_line_error(capsys)
+
     def test_negative_train_seed(self, pipeline, tmp_path, capsys):
         assert run(["train", *corpus_args(pipeline), "--ckpt", str(tmp_path / "m.paup"),
                     "--epochs", "1", "--seed", "-1"]) == 1

@@ -14,7 +14,7 @@ from protouq import (
     normalize_rows,
     similarity_matrix,
 )
-from protouq.embed import _RANK_BLOCK
+from protouq.embed import _RANK_BLOCK, _ROW_BLOCK
 from protouq.errors import (
     DimensionMismatch,
     DimensionTooSmall,
@@ -67,6 +67,27 @@ class TestNormalizeRows:
 
     def test_modality_is_kept(self):
         assert normalize_rows([[1.0, 0.0]], TEXT).modality == TEXT
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
+    def test_bit_identical_to_one_norm_call_at_block_edges(self, n, order):
+        rng = np.random.default_rng(n)
+        raw = np.asarray(rng.standard_normal((n, 7)) * rng.uniform(0.1, 10.0, (n, 1)), order=order)
+        want = raw / np.linalg.norm(raw, axis=1)[:, None]
+        kept = raw.copy()
+        got = normalize_rows(raw, VISION).vectors
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert np.array_equal(raw, kept) and raw.flags.writeable
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad, error", [
+        (0.0, ZeroVector), (np.nan, InvariantViolation), (1e300, InvariantViolation),
+    ])
+    def test_bad_row_in_a_later_block_is_named_by_its_global_index(self, bad, error):
+        raw = np.ones((2 * _ROW_BLOCK + 1, 3))
+        raw[_ROW_BLOCK + 1] = bad
+        with pytest.raises(error, match=f"row {_ROW_BLOCK + 1} "):
+            normalize_rows(raw, VISION)
 
 
 class TestEmbeddingSet:

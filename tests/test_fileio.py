@@ -1,6 +1,7 @@
 """Wire formats: round-trips, byte stability, and typed corruption errors."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from protouq import (
     write_embeddings,
     write_pairs,
 )
+from protouq.embed import _ROW_BLOCK
 from protouq.errors import (
     BadMagic,
     DimensionMismatch,
@@ -30,6 +32,7 @@ from protouq.errors import (
     ParseError,
     TruncatedFile,
     UnsupportedVersion,
+    ZeroVector,
 )
 
 # "PAUE" embeddings layout: 4s magic, u16 version, u8 modality, u64 n, u32 d
@@ -130,6 +133,46 @@ class TestEmbeddingsIO:
         patched(path, _EMBED_HEADER_SIZE + 4 * 5, struct.pack("<f", float("nan")))
         with pytest.raises(InvariantViolation, match="row 1"):
             read_embeddings(path)
+
+    @pytest.mark.parametrize("n", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
+    def test_round_trip_is_byte_identical_at_block_edges(self, tmp_path, n):
+        # Each step against its one-call form: the whole-array float32 cast
+        # on write, np.linalg.norm over all rows on read.
+        es = unit_set(n, n, 6)
+        a, b = tmp_path / "a.paue", tmp_path / "b.paue"
+        write_embeddings(es, a)
+        blob = a.read_bytes()
+        header, payload = blob[:_EMBED_HEADER_SIZE], blob[_EMBED_HEADER_SIZE:]
+        assert payload == es.vectors.astype("<f4").tobytes()
+        stored = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(n, 6)
+        want = stored / np.linalg.norm(stored, axis=1)[:, None]
+        got = read_embeddings(a)
+        assert got.vectors.tobytes() == want.tobytes()
+        write_embeddings(got, b)
+        assert b.read_bytes() == header + want.astype("<f4").tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad, error", [(0.0, ZeroVector), (float("nan"), InvariantViolation)])
+    def test_bad_row_in_a_later_block_is_named_by_its_global_index(self, tmp_path, bad, error):
+        n, d = 2 * _ROW_BLOCK + 1, 3
+        path = tmp_path / "e.paue"
+        write_embeddings(unit_set(2, n, d), path)
+        patched(path, _EMBED_HEADER_SIZE + 4 * d * (_ROW_BLOCK + 1), struct.pack(f"<{d}f", *[bad] * d))
+        with pytest.raises(error, match=f"row {_ROW_BLOCK + 1} "):
+            read_embeddings(path)
+
+    def test_read_peak_memory_is_the_file_and_one_float64_copy(self, tmp_path):
+        # float32 payload (4 bytes an entry) + float64 copy (8) + slack
+        n, d = 20000, 64
+        path = tmp_path / "e.paue"
+        write_embeddings(unit_set(3, n, d), path)
+        tracemalloc.start()
+        try:
+            read_embeddings(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * d
 
     def test_no_tmp_files_left_behind(self, tmp_path):
         write_embeddings(unit_set(1, 3, 4), tmp_path / "e.paue")

@@ -497,3 +497,7 @@ class TestMsvdCollisionLogprob:
     def test_count_beyond_float64_rejected(self):
         with pytest.raises(InvalidCounts):
             msvd_collision_logprob(10**400, 2, 1)
+
+    def test_batch_beyond_index_range_rejected(self):
+        with pytest.raises(InvalidCounts):
+            msvd_collision_logprob(10**30, 2**63, 1)

@@ -1,5 +1,7 @@
 """Synthetic corpus generator: determinism, geometry, and ground truth."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,7 +97,43 @@ class TestLatentDirections:
         assert np.abs(q @ q.T - np.eye(8)).max() < 1e-9
 
 
+def reference_corpus_vectors(spec):
+    """generate_corpus's two sets out of place, from the same draws:
+    base + sigma * noise, repeated per caption, over one norm call."""
+    rng = np.random.default_rng(spec.seed)
+    directions = latent_directions(spec.k_true, spec.d, rng)
+    levels = np.arange(1, spec.m_max + 1)
+    ms = rng.choice(levels, size=spec.n_items, p=np.array(spec.ambiguity_weights))
+    base = np.array([
+        directions[sorted(rng.choice(spec.k_true, size=int(m), replace=False))].sum(axis=0)
+        for m in ms
+    ])
+    vis = base + spec.noise_sigma * rng.standard_normal((spec.n_items, spec.d))
+    txt = np.repeat(base, spec.captions_per_item, axis=0) + spec.noise_sigma * rng.standard_normal(
+        (spec.n_items * spec.captions_per_item, spec.d)
+    )
+    return tuple(x / np.linalg.norm(x, axis=1)[:, None] for x in (vis, txt))
+
+
 class TestGenerateCorpus:
+    def test_bit_identical_to_out_of_place_reference(self):
+        spec = SyntheticSpec(n_items=700, d=16, k_true=6, noise_sigma=0.3,
+                             captions_per_item=3, seed=5)
+        vis, txt, _, _ = generate_corpus(spec)
+        want_vis, want_txt = reference_corpus_vectors(spec)
+        assert vis.vectors.tobytes() == want_vis.tobytes()
+        assert txt.vectors.tobytes() == want_txt.tobytes()
+
+    def test_peak_memory_is_below_two_text_sets(self):
+        spec = SyntheticSpec(n_items=4000, d=64, k_true=8, captions_per_item=5, seed=1)
+        tracemalloc.start()
+        try:
+            generate_corpus(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * spec.n_items * spec.captions_per_item * spec.d
+
     def test_shapes_and_pair_layout(self):
         spec = SyntheticSpec(n_items=10, d=16, k_true=6, captions_per_item=3, seed=1)
         vis, txt, pairs, labels = generate_corpus(spec)
