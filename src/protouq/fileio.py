@@ -1,7 +1,10 @@
 """Binary and text interchange formats.
 
-Everything here is endianness-pinned (little-endian) so files round-trip
-bit-exactly across platforms.  Every artifact, the binary files here and
+Everything here is endianness-pinned (little-endian), so a file reads the
+same on every platform.  Checkpoints and pair files round-trip byte for
+byte.  An embedding file is re-normalized on read, so writing what was
+read can move a stored float32 by one ulp: a write -> read -> write cycle
+is not byte-stable in general.  Every artifact, the binary files here and
 the CLI's CSVs alike, is written through _atomic_write: a temp file in the
 target directory followed by an atomic rename, so a crash or a failing
 writer never leaves a half-written artifact at the destination path.

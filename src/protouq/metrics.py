@@ -91,20 +91,31 @@ def _pair_scores(source, pairs: PairSet) -> np.ndarray:
     return scores
 
 
-def _outranked(scores, best, best_gallery, gallery, alive=None) -> np.ndarray:
+def _outranked(scores, best, best_gallery, gallery, alive, axis, n_best) -> np.ndarray:
     """The ranking kernel.
 
-    scores is (queries, some gallery entries) and gallery holds those
-    entries' gallery indices.  For each query, count the entries sorted
+    Queries lie across axis of scores and their gallery entries along it,
+    at gallery indices gallery.  For each query, count the entries sorted
     before its best positive (score best, gallery index best_gallery, both
-    (queries, 1) columns): a higher score, or an equal one at a lower index.
-    alive, if given, masks the entries that count.
+    broadcast against scores): a higher score, or an equal one at a lower
+    index; alive, if given, masks the entries that count.  Each of the
+    n_best best positives that scores holds is one equal entry, so when
+    the flat count of equal entries is n_best there is no other tie and the
+    index test is skipped.  Counts are byte sums into the narrowest
+    unsigned type that holds the axis length.
     """
+    width = np.min_scalar_type(scores.shape[axis])
     before = scores > best
-    before |= (scores == best) & (gallery < best_gallery)
     if alive is not None:
         before &= alive
-    return np.count_nonzero(before, axis=1)
+    counts = before.view(np.uint8).sum(axis=axis, dtype=width)
+    tied = np.equal(scores, best, out=before)
+    if np.count_nonzero(tied) != n_best:
+        tied &= gallery < best_gallery
+        if alive is not None:
+            tied &= alive
+        counts += tied.view(np.uint8).sum(axis=axis, dtype=width)
+    return counts
 
 
 class _BestPositiveRanks:
@@ -113,10 +124,12 @@ class _BestPositiveRanks:
     A query's best positive is the one sorted first (highest score, then
     lowest gallery index), and its rank is 1 + the entries sorted before it.
     v2t queries are block rows and are ranked by the block that holds them;
-    t2v queries are columns, counted over every block's rows.  With keep, a
+    t2v queries are columns, counted down every block's rows.  With keep, a
     mask over the pairs, only the kept pairs are positives and only gallery
     instances some kept pair uses are counted; a query with no kept pair
-    gets rank 1.
+    gets rank 1.  Each block entry costs one comparison, one byte count
+    and one equality test; the gallery-index tie-break runs only on a block
+    that holds a tie besides the best positives themselves.
     """
 
     def __init__(self, direction: str, shape, pairs: PairSet, pair_scores, keep=None):
@@ -126,25 +139,30 @@ class _BestPositiveRanks:
         n_query, n_gallery = shape[::-1] if direction == T2V else shape
         order = np.lexsort((gallery, -pair_scores, query))
         first = order[np.flatnonzero(np.diff(query[order], prepend=-1))]
-        self.best = np.full((n_query, 1), np.inf)
-        self.best_gallery = np.zeros((n_query, 1), dtype=np.int64)
-        self.best[query[first], 0] = pair_scores[first]
-        self.best_gallery[query[first], 0] = gallery[first]
+        self.best = np.full(n_query, np.inf)
+        self.best_gallery = np.zeros(n_query, dtype=np.int64)
+        self.best[query[first]] = pair_scores[first]
+        self.best_gallery[query[first]] = gallery[first]
         self.alive = None if keep is None else np.bincount(gallery, minlength=n_gallery) > 0
+        # Vision rows of the best positives, sorted; add() bisects it per block
+        self.best_rows = np.sort(query[first] if direction == V2T else gallery[first])
         self.direction = direction
         self.ranks = np.ones(n_query, dtype=np.int64)
 
     def add(self, start: int, block: np.ndarray) -> None:
-        rows = slice(start, start + len(block))
+        stop = start + len(block)
+        lo, hi = np.searchsorted(self.best_rows, (start, stop))
         if self.direction == V2T:
-            texts = np.arange(block.shape[1])
-            self.ranks[rows] += _outranked(
-                block, self.best[rows], self.best_gallery[rows], texts, self.alive
+            self.ranks[start:stop] += _outranked(
+                block, self.best[start:stop, None], self.best_gallery[start:stop, None],
+                np.arange(block.shape[1]), self.alive, 1, hi - lo,
             )
         else:
-            visions = np.arange(rows.start, rows.stop)
-            alive = None if self.alive is None else self.alive[rows]
-            self.ranks += _outranked(block.T, self.best, self.best_gallery, visions, alive)
+            alive = None if self.alive is None else self.alive[start:stop, None]
+            self.ranks += _outranked(
+                block, self.best, self.best_gallery,
+                np.arange(start, stop)[:, None], alive, 0, hi - lo,
+            )
 
 
 def _rank_pass(source, rankings) -> None:

@@ -228,7 +228,14 @@ def _uct_value_grads(
     p = instances @ bank_vectors.T
     u, strength = dirichlet_uncertainty(generate_evidence(p, cfg))
     value, diff = _uct_value(u, targets)
-    weight = (2.0 / n) * diff * (k / (strength * strength))
+    with np.errstate(over="ignore"):
+        squared = strength * strength
+    slope = k / squared
+    # S past ~1.3e154 squares to inf though K / S^2 is a finite number
+    huge = np.isinf(squared)
+    if huge.any():
+        slope[huge] = k / strength[huge] / strength[huge]
+    weight = (2.0 / n) * diff * slope
     grad = (weight[:, None] * evidence_slope(p, cfg)).T @ instances
     return value, grad
 

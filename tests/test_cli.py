@@ -471,9 +471,8 @@ class TestRuntimeErrors:
         ["--tau", "1e-300"],
         ["--epochs", "2", "--lr", "1e300"],
         ["--lambda-div", "1e300"],
-        ["--evidence", "softplus", "--gamma", "1e-300"],
         ["--evidence", "softplus", "--gamma", "5e-324"],
-    ], ids=["tau", "lr", "lambda-div", "gamma-tiny", "gamma-subnormal"])
+    ], ids=["tau", "lr", "lambda-div", "gamma-subnormal"])
     def test_float_overflow_is_one_error_line(self, pipeline, tmp_path, capsys, flags):
         assert run(["train", *corpus_args(pipeline), "--ckpt", str(tmp_path / "m.paup"),
                     "--epochs", "1", *flags]) == 1
@@ -484,6 +483,13 @@ class TestRuntimeErrors:
         # gamma * s far below 0: exp(-gamma * s) is inf and the slope its limit 0
         assert run(["train", *corpus_args(pipeline), "--ckpt", str(tmp_path / "m.paup"),
                     "--epochs", "2", "--evidence", "softplus", "--gamma", "1e300"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_dirichlet_strength_is_no_overflow(self, pipeline, tmp_path, capsys):
+        # evidence near 1e300 puts S^2 past float64 while K / S^2 stays finite
+        assert run(["train", *corpus_args(pipeline), "--ckpt", str(tmp_path / "m.paup"),
+                    "--epochs", "1", "--evidence", "softplus", "--gamma", "1e-300"]) == 0
         assert capsys.readouterr().err == ""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

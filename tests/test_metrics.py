@@ -121,6 +121,43 @@ class TestRetrievalRanks:
             got = retrieval_ranks(values, pairs, direction)
             assert got.tolist() == naive_ranks(values, pairs, direction).tolist()
 
+    @pytest.mark.parametrize("n_text, outranked", [
+        (255, [(254, 0), (0, 254), (100, 154)]),
+        (256, [(255, 0), (0, 255), (128, 127)]),
+        (65_535, [(65_534, 0), (0, 65_534), (30_000, 35_534)]),
+        (65_536, [(65_535, 0), (0, 65_535), (65_000, 535)]),
+        (70_000, [(255, 0), (200, 56), (65_535, 0), (30_000, 35_537)]),
+    ])
+    def test_v2t_counts_fill_each_count_width(self, n_text, outranked):
+        # Query row i's only positive scores 0.0, after `higher` columns that
+        # score 0.5 and `tied` columns that tie it; every other column after
+        # it ties or scores lower.  A last row pairs with the rest of the
+        # texts.  Counts are byte sums into the narrowest type that holds
+        # n_text, so 254/255 and 65534/65535 fill uint8 and uint16.
+        values = np.full((len(outranked) + 1, n_text), -0.5)
+        pairs = []
+        for row, (higher, tied) in enumerate(outranked):
+            positive = higher + tied
+            values[row, :higher] = 0.5
+            values[row, higher:positive + 1] = 0.0
+            values[row, positive + 1::2] = 0.0
+            pairs.append((row, positive))
+        sink = len(outranked)
+        pairs += [(sink, t) for t in sorted(set(range(n_text)) - {t for _, t in pairs})]
+        ranks = retrieval_ranks(values, PairSet(pairs=pairs), "v2t")
+        assert ranks[:sink].tolist() == [h + t + 1 for h, t in outranked]
+
+    def test_t2v_counts_a_whole_block_outranking(self):
+        # Texts 0 and 1 have one positive, vision _RANK_BLOCK in the second
+        # block; all _RANK_BLOCK rows of the first block score above text 0's
+        # and tie text 1's at lower indices.  Text 2 covers those rows.
+        values = np.zeros((_RANK_BLOCK + 1, 3))
+        values[:_RANK_BLOCK, 0] = 0.5
+        values[:, 1] = 0.5
+        pairs = [(_RANK_BLOCK, 0), (_RANK_BLOCK, 1)] + [(v, 2) for v in range(_RANK_BLOCK)]
+        ranks = retrieval_ranks(values, PairSet(pairs=pairs), "t2v")
+        assert ranks.tolist() == [_RANK_BLOCK + 1, _RANK_BLOCK + 1, 1]
+
     def test_unknown_direction_rejected(self):
         with pytest.raises(InvalidConfig):
             retrieval_ranks(np.zeros((2, 2)), DIAG2, "i2t")
@@ -227,12 +264,16 @@ def naive_survivor_r1(values, pairs, removed, direction):
         kept = [(t, v) for v, t in kept]
         values = np.asarray(values).T
     gallery = sorted({g for _, g in kept})
-    hits = 0
-    for q, _ in kept:
+    positives = {}
+    for q, g in kept:
+        positives.setdefault(q, []).append(g)
+    rank = {}
+    for q, gs in positives.items():
         scores = values[q, gallery]
         order = np.lexsort((np.arange(len(gallery)), -scores))
         position = {gallery[int(j)]: i + 1 for i, j in enumerate(order)}
-        hits += min(position[g] for qq, g in kept if qq == q) == 1
+        rank[q] = min(position[g] for g in gs)
+    hits = sum(rank[q] == 1 for q, _ in kept)
     return 100.0 * hits / len(kept)
 
 

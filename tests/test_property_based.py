@@ -15,9 +15,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from protouq import (
     Checkpoint,
     EvidenceConfig,
+    PairSet,
     ProtoUQError,
+    RerankParams,
+    apply_rerank,
     cosine,
     dirichlet_from_evidence,
+    evaluate_reranked,
     generate_evidence,
     init_prototypes,
     jsd,
@@ -27,11 +31,16 @@ from protouq import (
     read_checkpoint,
     read_embeddings,
     read_pairs,
+    removal_curve,
+    retrieval_ranks,
     softmax,
     write_checkpoint,
     write_embeddings,
 )
 from protouq.cli import run
+from protouq.embed import _RANK_BLOCK
+from protouq.metrics import DIRECTIONS, _report
+from test_metrics import assert_matches_naive_oracle, naive_ranks, random_many_to_many
 
 settings.register_profile("suite", deadline=None, max_examples=200)
 settings.load_profile("suite")
@@ -154,6 +163,85 @@ def test_msvd_logprob_nonpositive_and_monotone_in_group(batch, group, extra):
     loose = msvd_collision_logprob(n, batch, group)
     assert tight <= 0.0 and loose <= 0.0
     assert tight <= loose + 1e-12
+
+
+@st.composite
+def tied_rankings(draw):
+    """A similarity matrix of a few levels (-0.0 and 0.0 among them), with
+    many-to-many pairs and tied uncertainties; about half the vision row
+    counts cross one rank block."""
+    n_vision = draw(st.one_of(
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=_RANK_BLOCK - 2, max_value=_RANK_BLOCK + 20),
+    ))
+    n_text = draw(st.integers(min_value=1, max_value=7))
+    levels = draw(st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0]),
+                           min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = np.array(levels)[rng.integers(0, len(levels), (n_vision, n_text))]
+    pairs = random_many_to_many(rng, n_vision, n_text)
+    u_v = np.round(rng.uniform(0.0, 1.0, n_vision), 1)
+    u_t = np.round(rng.uniform(0.0, 1.0, n_text), 1)
+    return values, pairs, u_v, u_t
+
+
+def _distinct_case(n_vision, n_text, pairs):
+    """No two similarities equal, with distinct uncertainties."""
+    rng = np.random.default_rng(n_vision * n_text)
+    values = rng.permutation(np.linspace(-1.0, 1.0, n_vision * n_text)).reshape(n_vision, n_text)
+    u_v = np.linspace(0.0, 0.9, n_vision)
+    u_t = np.linspace(0.05, 0.95, n_text)
+    return values, PairSet(pairs=pairs), u_v, u_t
+
+
+# Every block skips the index tie-break.
+NO_TIE = _distinct_case(2 * _RANK_BLOCK + 9, 5, [(i, i % 5) for i in range(2 * _RANK_BLOCK + 9)])
+
+# v2t query _RANK_BLOCK + 3 (positive text 4) ties text 0, below its index,
+# in the second block only.
+V2T_TIE = _distinct_case(2 * _RANK_BLOCK + 9, 5, [(i, i % 5) for i in range(2 * _RANK_BLOCK + 9)])
+V2T_TIE[0][_RANK_BLOCK + 3, 0] = V2T_TIE[0][_RANK_BLOCK + 3, (_RANK_BLOCK + 3) % 5]
+
+# Text 0's only positive is vision _RANK_BLOCK + 1; the first and third
+# blocks tie it, at vision 5 (counted) and 2 * _RANK_BLOCK + 1 (not).
+T2V_TIE = _distinct_case(
+    2 * _RANK_BLOCK + 9, 4,
+    [(_RANK_BLOCK + 1, 0)] + [(i, 1 + i % 3) for i in range(2 * _RANK_BLOCK + 9)],
+)
+T2V_TIE[0][[5, 2 * _RANK_BLOCK + 1], 0] = T2V_TIE[0][_RANK_BLOCK + 1, 0]
+
+# Each vision row has one pair and the highest-u text goes first, so every
+# removal count leaves v2t queries with no kept pair; all entries are -0.0
+# or 0.0, so every block takes the tie-break.
+NO_KEPT_PAIR = (
+    np.where(np.arange(_RANK_BLOCK + 4)[:, None] % 2 == np.arange(3) % 2, -0.0, 0.0),
+    PairSet(pairs=[(i, i % 3) for i in range(_RANK_BLOCK + 4)]),
+    np.zeros(_RANK_BLOCK + 4),
+    np.array([0.1, 0.9, 0.5]),
+)
+
+
+@given(tied_rankings(), st.sampled_from(["uncertainty", "random"]),
+       st.sampled_from(["gallery", "query"]), st.integers(min_value=0, max_value=3))
+@example(NO_TIE, "uncertainty", "gallery", 0)
+@example(V2T_TIE, "random", "query", 1)
+@example(T2V_TIE, "uncertainty", "query", 0)
+@example(NO_KEPT_PAIR, "uncertainty", "gallery", 0)
+def test_blocked_rankings_match_full_sort_oracle(case, mode, side, seed):
+    """retrieval_ranks, evaluate_reranked and removal_curve rank exactly as
+    a full sort of each query's gallery by (-score, index)."""
+    values, pairs, u_v, u_t = case
+    for direction in DIRECTIONS:
+        want = naive_ranks(values, pairs, direction)
+        assert retrieval_ranks(values, pairs, direction).tolist() == want.tolist()
+    params = RerankParams(beta1=1.0, beta2=2.0)
+    reranked = apply_rerank(values, u_v, u_t, params).values
+    assert evaluate_reranked(values, u_v, u_t, pairs, params) == tuple(
+        [_report(naive_ranks(m, pairs, d), d) for d in DIRECTIONS] for m in (values, reranked)
+    )
+    counts = sorted({0, len(pairs) // 2, len(pairs) - 1})
+    curve = removal_curve(values, u_v, u_t, pairs, counts, mode=mode, seed=seed, side=side)
+    assert_matches_naive_oracle(curve, values, u_v, u_t, pairs, seed)
 
 
 pair_field = st.one_of(
