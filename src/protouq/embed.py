@@ -165,21 +165,13 @@ class SimilarityMatrix:
         object.__setattr__(self, "values", values)
 
     @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
     def blocks(self):
         """(start, block) per _RANK_BLOCK rows, the block a read-only view of
         rows start, start + 1, ... of values: a block source, never a copy."""
-        for start in range(0, self.rows, _RANK_BLOCK):
+        for start in range(0, self.shape[0], _RANK_BLOCK):
             yield start, self.values[start:start + _RANK_BLOCK]
 
 

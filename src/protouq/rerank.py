@@ -16,6 +16,8 @@ from .embed import PairSet, SimilarityMatrix, _block_source, _stacked
 from .errors import EmptyGrid, InvalidConfig
 from .metrics import (
     DIRECTIONS,
+    T2V,
+    V2T,
     _BestPositiveRanks,
     _pair_scores,
     _report,
@@ -113,42 +115,24 @@ def evaluate_reranked(m, u_v, u_t, pairs: PairSet, params: RerankParams):
 
 def _grid_hits(source, u_v, u_t, pairs: PairSet, candidates):
     """t2v R@1 hits at every candidate beta1 and v2t R@1 hits at every
-    candidate beta2 (the other beta at 0), from one block pass.
-
-    A query is a hit exactly when the first argmax of its scaled scores is
-    one of its positives (the rank convention: highest score first, then
-    lowest gallery index).  v2t queries are block rows; a t2v query's argmax
-    is kept as a running column argmax over the blocks, where a later block
-    replaces it only with a strictly higher score.
-    """
-    n_text = source.shape[1]
-    positives = np.sort(pairs.vision_indices * n_text + pairs.text_indices)
-
-    def is_pair(v, t):
-        keys = v * n_text + t
-        found = np.minimum(np.searchsorted(positives, keys), positives.size - 1)
-        return positives[found] == keys
-
-    texts = np.arange(n_text)
+    candidate beta2 (the other beta at 0), from a pair-score pass and one
+    ranking pass.  Each (axis, beta) ranks every block scaled by its factor
+    into one scratch buffer, against pair scores scaled the same way, so a
+    best positive holds its block entry's bits; a hit is a rank of 1."""
+    vs, ts = pairs.vision_indices, pairs.text_indices
+    scores = _pair_scores(source, pairs)
     row_scales = [np.exp(-b * u_v) for b in candidates]
     col_scales = [np.exp(-b * u_t) for b in candidates]
-    top = np.full((len(candidates), n_text), -np.inf)
-    top_vision = np.zeros((len(candidates), n_text), dtype=np.int64)
-    hits_v2t = np.zeros(len(candidates), dtype=np.int64)
+    t2v = [_BestPositiveRanks(T2V, source.shape, pairs, scores * s[vs]) for s in row_scales]
+    v2t = [_BestPositiveRanks(V2T, source.shape, pairs, scores * s[ts]) for s in col_scales]
     for start, block in source.blocks():
-        visions = np.arange(start, start + len(block))
         scaled = np.empty_like(block)
-        for i, (row_scale, col_scale) in enumerate(zip(row_scales, col_scales)):
-            best_text = np.multiply(block, col_scale, out=scaled).argmax(axis=1)
-            hits_v2t[i] += np.count_nonzero(is_pair(visions, best_text))
-            np.multiply(block, row_scale[start:start + len(block), None], out=scaled)
-            best_row = scaled.argmax(axis=0)
-            best = scaled[best_row, texts]
-            higher = best > top[i]
-            top[i, higher] = best[higher]
-            top_vision[i, higher] = visions[best_row[higher]]
-    hits_t2v = is_pair(top_vision, texts).sum(axis=1)
-    return hits_t2v, hits_v2t
+        rows = slice(start, start + len(block))
+        for ranking, row_scale in zip(t2v, row_scales):
+            ranking.add(start, np.multiply(block, row_scale[rows, None], out=scaled))
+        for ranking, col_scale in zip(v2t, col_scales):
+            ranking.add(start, np.multiply(block, col_scale, out=scaled))
+    return [[np.count_nonzero(r.ranks == 1) for r in axis] for axis in (t2v, v2t)]
 
 
 def fit_betas(m, u_v, u_t, pairs: PairSet, grid=DEFAULT_BETA_GRID) -> RerankParams:
@@ -158,13 +142,14 @@ def fit_betas(m, u_v, u_t, pairs: PairSet, grid=DEFAULT_BETA_GRID) -> RerankPara
     validation split), separates: a t2v query is a text column, whose column
     factor scales its whole gallery alike, so t2v ranks depend on beta1 only;
     likewise v2t ranks depend on beta2 only.  So each beta is swept alone
-    with the other at 0, and every grid beta of both axes is scored from
-    the same blocks: one block pass.  Each axis takes its smallest best
-    beta, the pair an exhaustive ascending sweep with strict improvement
-    picks; the grid must contain 0 so that the baseline (0, 0) is a
-    candidate.  Caveat: the other side's factor can round two scores one
-    ulp apart into a tie that the exhaustive sweep would see; this fit
-    ranks them in their order before that rounding.
+    with the other at 0, and every grid beta of both axes is ranked on the
+    same blocks: a pair-score pass, then one ranking pass, whatever the
+    grid size.  Each axis takes its smallest best beta, the pair an
+    exhaustive ascending sweep with strict improvement picks; the grid must
+    contain 0 so that the baseline (0, 0) is a candidate.  Caveat: the
+    other side's factor can round two scores one ulp apart into a tie that
+    the exhaustive sweep would see; this fit ranks them in their order
+    before that rounding.
     """
     candidates = sorted({float(g) for g in grid})
     if not candidates:

@@ -158,7 +158,7 @@ class TestSimilarityMatrix:
 
     def test_float_slop_at_one_accepted(self):
         m = SimilarityMatrix(values=np.array([[1.0 + 5e-10]]))
-        assert m.rows == 1 and m.cols == 1
+        assert m.shape == (1, 1)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyMatrix):

@@ -22,6 +22,7 @@ from protouq import (
     cosine,
     dirichlet_from_evidence,
     evaluate_reranked,
+    fit_betas,
     generate_evidence,
     init_prototypes,
     jsd,
@@ -221,16 +222,31 @@ NO_KEPT_PAIR = (
 )
 
 
+def naive_fit(values, u_v, u_t, pairs, grid):
+    """Per-axis sweep of the full-sort oracle: the smallest beta with the
+    most R@1 hits, t2v at (beta, 0) and v2t at (0, beta)."""
+    def hits(direction, beta):
+        params = RerankParams(**{"beta1" if direction == "t2v" else "beta2": beta})
+        reranked = apply_rerank(values, u_v, u_t, params).values
+        return np.count_nonzero(naive_ranks(reranked, pairs, direction) == 1)
+
+    beta1, beta2 = (max(set(grid), key=lambda b: (hits(d, b), -b)) for d in DIRECTIONS)
+    return RerankParams(beta1=beta1, beta2=beta2)
+
+
 @given(tied_rankings(), st.sampled_from(["uncertainty", "random"]),
-       st.sampled_from(["gallery", "query"]), st.integers(min_value=0, max_value=3))
-@example(NO_TIE, "uncertainty", "gallery", 0)
-@example(V2T_TIE, "random", "query", 1)
-@example(T2V_TIE, "uncertainty", "query", 0)
-@example(NO_KEPT_PAIR, "uncertainty", "gallery", 0)
-def test_blocked_rankings_match_full_sort_oracle(case, mode, side, seed):
-    """retrieval_ranks, evaluate_reranked and removal_curve rank exactly as
-    a full sort of each query's gallery by (-score, index)."""
+       st.sampled_from(["gallery", "query"]), st.integers(min_value=0, max_value=3),
+       st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 5.0]), max_size=3))
+@example(NO_TIE, "uncertainty", "gallery", 0, [1.0])
+@example(V2T_TIE, "random", "query", 1, [])
+@example(T2V_TIE, "uncertainty", "query", 0, [0.5, 5.0])
+@example(NO_KEPT_PAIR, "uncertainty", "gallery", 0, [2.0])
+def test_blocked_rankings_match_full_sort_oracle(case, mode, side, seed, betas):
+    """retrieval_ranks, evaluate_reranked, removal_curve and fit_betas rank
+    exactly as a full sort of each query's gallery by (-score, index)."""
     values, pairs, u_v, u_t = case
+    grid = [*betas, 0.0]
+    assert fit_betas(values, u_v, u_t, pairs, grid=grid) == naive_fit(values, u_v, u_t, pairs, grid)
     for direction in DIRECTIONS:
         want = naive_ranks(values, pairs, direction)
         assert retrieval_ranks(values, pairs, direction).tolist() == want.tolist()

@@ -18,6 +18,7 @@ from protouq import (
     normalize_rows,
     removal_curve,
     retrieval_ranks,
+    retrieval_reports,
     similarity_matrix,
 )
 from protouq import rerank
@@ -240,22 +241,6 @@ class TestFitBetas:
         with pytest.raises(InvalidConfig):
             fit_betas(m, u_v, u_t, pairs)
 
-    def test_one_block_pass_for_both_axes(self, monkeypatch):
-        passes = []
-        original = SimilarityMatrix.blocks
-
-        def counting_blocks(self):
-            passes.append(self)
-            return original(self)
-
-        monkeypatch.setattr(SimilarityMatrix, "blocks", counting_blocks)
-        m, u_v, u_t, pairs = hub_corpus()
-        fit_betas(m, u_v, u_t, pairs, grid=(2.0, 0.0, 0.5, 2.0, 0.0))
-        assert [id(source) for source in passes] == [id(m)]
-        passes.clear()
-        fit_betas(m, u_v, u_t, pairs)
-        assert [id(source) for source in passes] == [id(m)]
-
     def test_each_axis_takes_its_smallest_maximizer(self):
         # the hub corpus beside its transpose: text 3 hubs the v2t side and
         # vision 7 hubs the t2v side, and on each axis every beta from 0.25
@@ -352,6 +337,34 @@ RANKINGS = {
     "fit_betas": lambda m, u_v, u_t, pairs: fit_betas(m, u_v, u_t, pairs),
     "removal_curve": lambda m, u_v, u_t, pairs: removal_curve(m, u_v, u_t, pairs, [1, 5]),
 }
+
+
+PASSES = {
+    "retrieval_reports": lambda m, u_v, u_t, pairs: retrieval_reports(m, pairs),
+    "evaluate_reranked": RANKINGS["evaluate_reranked"],
+    "removal_curve": lambda m, u_v, u_t, pairs: removal_curve(m, u_v, u_t, pairs, [1, 2]),
+    "fit_betas-grid5": lambda m, u_v, u_t, pairs: fit_betas(
+        m, u_v, u_t, pairs, grid=(2.0, 0.0, 0.5, 1.0, 4.0)
+    ),
+    "fit_betas-grid21": RANKINGS["fit_betas"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PASSES))
+def test_pair_score_pass_then_one_ranking_pass(name, monkeypatch):
+    # two passes over a stored matrix, whatever the number of rankings (for
+    # the fit, of grid betas) the second one feeds
+    passes = []
+    original = SimilarityMatrix.blocks
+
+    def counting_blocks(self):
+        passes.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SimilarityMatrix, "blocks", counting_blocks)
+    m, u_v, u_t, pairs = hub_corpus()
+    PASSES[name](m, u_v, u_t, pairs)
+    assert [id(source) for source in passes] == [id(m), id(m)]
 
 
 @pytest.mark.parametrize("stored", [False, True], ids=["raw-array", "SimilarityMatrix"])
