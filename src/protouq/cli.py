@@ -175,11 +175,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    if not args.vis and not args.txt:
+        args.usage_error("score needs --vis and/or --txt")
     ckpt = read_checkpoint(args.ckpt)
     scored = []
     summary = {}
-    if not args.vis and not args.txt:
-        raise ProtoUQError("score needs --vis and/or --txt")
     for path, modality, bank in ((args.vis, VISION, ckpt.bank_t), (args.txt, TEXT, ckpt.bank_v)):
         if path:
             u = uncertainty_scores(_load_embeddings(path, modality), bank, ckpt.evidence)
@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vis")
     p.add_argument("--txt")
     p.add_argument("--out", help="output CSV (modality,index,uncertainty)")
-    p.set_defaults(func=_cmd_score)
+    p.set_defaults(func=_cmd_score, usage_error=p.error)
 
     p = sub.add_parser("rerank", help="uncertainty-weighted re-ranking")
     _add_corpus_flags(p)

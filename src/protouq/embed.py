@@ -229,10 +229,11 @@ def similarity_matrix(vis: EmbeddingSet, txt: EmbeddingSet) -> SimilarityMatrix:
 
 def _batch_means(xv: np.ndarray, xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column means of xv @ xt.T, as xv . mean(xt) and xt . mean(xv),
-    clipped to [-1, 1] against rounding: O((n_v + n_t) d), no matrix."""
-    h_v = xv @ xt.mean(axis=0)
-    h_t = xt @ xv.mean(axis=0)
-    return np.clip(h_v, -1.0, 1.0, out=h_v), np.clip(h_t, -1.0, 1.0, out=h_t)
+    clipped to [-1, 1] against rounding: O((n_v + n_t) d), no matrix.  The
+    column means are add.reduce / n, the bits of mean(axis=0)."""
+    h_v = xv @ (np.add.reduce(xt, axis=0) / xt.shape[0])
+    h_t = xt @ (np.add.reduce(xv, axis=0) / xv.shape[0])
+    return h_v.clip(-1.0, 1.0, out=h_v), h_t.clip(-1.0, 1.0, out=h_t)
 
 
 def batch_means(vis: EmbeddingSet, txt: EmbeddingSet) -> tuple[np.ndarray, np.ndarray]:

@@ -99,6 +99,17 @@ def evidence_slope(s, cfg: EvidenceConfig = EvidenceConfig()):
     return float(out) if arr.ndim == 0 else out
 
 
+def _slope_consuming_evidence(s: np.ndarray, evidence: np.ndarray, cfg: EvidenceConfig) -> np.ndarray:
+    """evidence_slope(s, cfg) for an array s whose evidence,
+    generate_evidence(s, cfg), the caller no longer needs.  The exponential
+    slope exp(s / tau) / tau is that evidence divided by tau, in place, with
+    the same bits; the other kinds leave the evidence as it is."""
+    if cfg.kind == EXPONENTIAL:
+        evidence /= cfg.tau
+        return evidence
+    return evidence_slope(s, cfg)
+
+
 @dataclass(frozen=True)
 class DirichletState:
     """Dirichlet summary for one instance against K prototypes."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -58,6 +59,8 @@ _EVIDENCE_BLOCK = struct.Struct("<Bddd")
 _RERANK_BLOCK = struct.Struct("<dd")
 _META_LEN = struct.Struct("<I")
 
+_PIPE_CHUNK = 1 << 20
+
 
 @contextlib.contextmanager
 def _atomic_write(path, mode="wb", **open_kwargs):
@@ -75,8 +78,9 @@ def _atomic_write(path, mode="wb", **open_kwargs):
 
 
 class _Cursor:
-    """Sequential reader over a fully loaded file that typed-errors on EOF.
-    take() returns views of the file's bytes, never copies."""
+    """Sequential reader over loaded bytes (a whole checkpoint, an embedding
+    file's header) that typed-errors on EOF.  take() returns views of the
+    bytes, never copies."""
 
     def __init__(self, blob: bytes, path):
         self.blob = memoryview(blob)
@@ -156,19 +160,62 @@ def read_embeddings(path) -> EmbeddingSet:
 
     Stored vectors are float32, so unit norms hold only to float32
     precision; re-normalizing restores the EmbeddingSet invariant and
-    surfaces genuinely zero rows as ZeroVector.  Beside the file's bytes,
-    the read allocates one float64 copy of the payload, normalized in
-    place into the returned set, and row-block temporaries.
+    surfaces genuinely zero rows as ZeroVector.  A regular file's size is
+    checked against the declared payload before anything is allocated, and
+    the payload is read one row block at a time through one float32 buffer
+    into the float64 array that is normalized in place into the returned
+    set: that array, the buffer and row-block temporaries are all the read
+    holds.  A pipe has no size to check, so its payload is read in bounded
+    chunks as it arrives, then cast: a header that declares more than the
+    pipe holds allocates only what arrived before the TruncatedFile.
     """
+    header_size = _MAGIC_VERSION.size + _EMBED_HEADER.size
     with open(path, "rb") as fh:
-        cur = _Cursor(fh.read(), path)
-    _check_magic_version(cur, EMBEDDINGS_MAGIC)
-    modality_code, n, d = cur.unpack(_EMBED_HEADER)
-    if modality_code not in _MODALITY_NAMES:
-        raise InvariantViolation(f"{path}: unknown modality byte {modality_code}")
-    matrix = cur.take_f32(n, d)
-    cur.done()
+        cur = _Cursor(fh.read(header_size), path)
+        _check_magic_version(cur, EMBEDDINGS_MAGIC)
+        modality_code, n, d = cur.unpack(_EMBED_HEADER)
+        if modality_code not in _MODALITY_NAMES:
+            raise InvariantViolation(f"{path}: unknown modality byte {modality_code}")
+        payload = 4 * n * d
+        status = os.fstat(fh.fileno())
+        if not stat.S_ISREG(status.st_mode):
+            blob = _read_at_most(fh, payload)
+            if len(blob) < payload:
+                raise TruncatedFile(f"{path}: payload shorter than the declared {payload} bytes")
+            matrix = _Cursor(blob, path).take_f32(n, d)
+        elif status.st_size < header_size + payload:
+            raise TruncatedFile(
+                f"{path}: needed {payload} bytes at offset {header_size}, "
+                f"file has {status.st_size}"
+            )
+        else:
+            matrix = np.empty((n, d))
+            buffer = np.empty((min(n, _ROW_BLOCK), d), dtype="<f4")
+            # A signaling NaN becomes a quiet NaN without a RuntimeWarning,
+            # for the row checks to reject.
+            with np.errstate(invalid="ignore"):
+                # Rows of width 0 hold no bytes, however many the header declares.
+                for start in range(0, n if d else 0, _ROW_BLOCK):
+                    rows = buffer[:n - start]
+                    if fh.readinto(rows) != rows.nbytes:
+                        raise TruncatedFile(f"{path}: payload shorter than the declared {payload} bytes")
+                    matrix[start:start + _ROW_BLOCK] = rows
+        if fh.read(1):
+            raise InvariantViolation(f"{path}: trailing bytes after the declared payload")
     return _normalized(matrix, _MODALITY_NAMES[modality_code])
+
+
+def _read_at_most(fh, count: int) -> bytes:
+    """Up to count bytes of a stream, read in chunks of at most _PIPE_CHUNK
+    bytes, so memory follows what the stream holds, not what was asked."""
+    chunks = []
+    while count > 0:
+        chunk = fh.read(min(count, _PIPE_CHUNK))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        count -= len(chunk)
+    return b"".join(chunks)
 
 
 def read_embeddings_csv(path, modality: str) -> EmbeddingSet:

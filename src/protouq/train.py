@@ -12,6 +12,7 @@ that the evidence functions see through the dot product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,12 @@ from .errors import (
     ModalityMismatch,
     ZeroPrototype,
 )
-from .evidence import EvidenceConfig, dirichlet_uncertainty, evidence_slope, generate_evidence
+from .evidence import (
+    EvidenceConfig,
+    _slope_consuming_evidence,
+    dirichlet_uncertainty,
+    generate_evidence,
+)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -165,7 +171,7 @@ def map_targets(raw_means: np.ndarray, mode: str = H_CLAMP) -> np.ndarray:
 def _uct_value(u: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]:
     """The uncertainty loss mean((u - h)^2), and the gap u - h."""
     diff = u - h
-    return float(np.mean(diff * diff)), diff
+    return float(np.add.reduce(diff * diff)) / diff.size, diff
 
 
 def loss_uct(u: np.ndarray, h: np.ndarray) -> float:
@@ -179,15 +185,18 @@ def loss_uct(u: np.ndarray, h: np.ndarray) -> float:
     return _uct_value(u, h)[0]
 
 
-def _div_value(vectors: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+def _div_value(vectors: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The diversity loss of a raw (k, d) bank, mean(cos^2) over all row
-    pairs, with the clipped cosine matrix, unit rows and norms it used."""
-    norms = np.linalg.norm(vectors, axis=1)
-    if np.any(norms < _NORM_EPS):
+    pairs, with the clipped cosine matrix, its square, the unit rows and
+    the norms it used."""
+    norms = np.sqrt(np.add.reduce(vectors * vectors, axis=1))
+    if norms.min() < _NORM_EPS:
         raise ZeroPrototype("a prototype row has near-zero norm")
     unit = vectors / norms[:, None]
-    gram = np.clip(unit @ unit.T, -1.0, 1.0)
-    return float(np.mean(gram * gram)), gram, unit, norms
+    gram = unit @ unit.T
+    gram.clip(-1.0, 1.0, out=gram)
+    squared = gram * gram
+    return float(np.add.reduce(squared, axis=None)) / squared.size, gram, squared, unit, norms
 
 
 def loss_div(bank: PrototypeBank) -> float:
@@ -201,12 +210,14 @@ def loss_div(bank: PrototypeBank) -> float:
 
 def _div_value_grad(vectors: np.ndarray) -> tuple[float, np.ndarray]:
     """Diversity loss and its gradient for one bank's raw (k, d) array."""
-    value, gram, unit, norms = _div_value(vectors)
+    value, gram, squared, unit, norms = _div_value(vectors)
     k = vectors.shape[0]
     # d/dz_a of sum_ij cos^2: diagonal terms are constant, and including
     # j = a in both partial sums below cancels exactly, so no masking.
-    row_sq = (gram * gram).sum(axis=1)
-    grad = (4.0 / (k * k)) * (gram @ unit - row_sq[:, None] * unit) / norms[:, None]
+    grad = gram @ unit
+    grad -= np.add.reduce(squared, axis=1)[:, None] * unit
+    grad *= 4.0 / (k * k)
+    grad /= norms[:, None]
     return value, grad
 
 
@@ -222,22 +233,32 @@ def _uct_value_grads(
     u_i = 1 - K / S_i with S_i = K + sum_k f(x_i . z_k), so
 
         dL/dz_k = sum_i (2/n) (u_i - h_i) (K / S_i^2) f'(p_ik) x_i.
+
+    An S past about 1.3e154 squares to inf although K / S^2 is a finite
+    number.  One test of the largest S finds that case; only then do the
+    rows whose square overflows take K / S / S instead.
     """
     n, _ = instances.shape
     k = bank_vectors.shape[0]
     p = instances @ bank_vectors.T
-    u, strength = dirichlet_uncertainty(generate_evidence(p, cfg))
-    value, diff = _uct_value(u, targets)
-    with np.errstate(over="ignore"):
-        squared = strength * strength
-    slope = k / squared
-    # S past ~1.3e154 squares to inf though K / S^2 is a finite number
-    huge = np.isinf(squared)
-    if huge.any():
+    evidence = generate_evidence(p, cfg)
+    u, strength = dirichlet_uncertainty(evidence)
+    value, weight = _uct_value(u, targets)
+    top = float(strength.max())
+    if top * top < math.inf:
+        slope = np.multiply(strength, strength, out=strength)
+        np.divide(k, slope, out=slope)
+    else:
+        with np.errstate(over="ignore"):
+            squared = strength * strength
+        slope = k / squared
+        huge = np.isinf(squared)
         slope[huge] = k / strength[huge] / strength[huge]
-    weight = (2.0 / n) * diff * slope
-    grad = (weight[:, None] * evidence_slope(p, cfg)).T @ instances
-    return value, grad
+    weight *= 2.0 / n
+    weight *= slope
+    grad = _slope_consuming_evidence(p, evidence, cfg)
+    grad *= weight[:, None]
+    return value, grad.T @ instances
 
 
 def gradients(
@@ -273,7 +294,12 @@ def gradients(
 
 
 class _AdamState:
-    """Adam with bias correction; one instance per parameter block."""
+    """Adam with bias correction; one instance per parameter block.
+
+    step() updates the moments m and v in place, then params, by
+    params -= lr * m_hat / (sqrt(v_hat) + eps).  Every operation rounds in
+    the order of that expression, so the in-place updates give its bits.
+    """
 
     def __init__(self, shape: tuple[int, ...], lr: float):
         self.lr = lr
@@ -283,11 +309,19 @@ class _AdamState:
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
-        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = self.m / (1.0 - ADAM_BETA1 ** self.t)
-        v_hat = self.v / (1.0 - ADAM_BETA2 ** self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        grad_sq = (1.0 - ADAM_BETA2) * grad
+        grad_sq *= grad
+        self.v += grad_sq
+        update = self.m / (1.0 - ADAM_BETA1 ** self.t)
+        update *= self.lr
+        denom = np.divide(self.v, 1.0 - ADAM_BETA2 ** self.t, out=grad_sq)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        update /= denom
+        params -= update
 
 
 def train(
@@ -331,7 +365,7 @@ def train(
         pick[options > 1] = sampler.integers(options[options > 1])
         chosen = captions[starts[order] + pick]
 
-        sums = np.zeros(5)
+        sums = [0.0] * 5
         batches = 0
         for start in range(0, vis.n, cfg.batch_size):
             rows = order[start:start + cfg.batch_size]
@@ -343,14 +377,14 @@ def train(
             grad_v, grad_t, losses = _batch_gradients(xv, xt, z_v, z_t, cfg)
             opt_v.step(z_v, grad_v)
             opt_t.step(z_t, grad_t)
-            sums += (losses.uct_v, losses.uct_t, losses.div_v, losses.div_t, losses.total)
+            terms = (losses.uct_v, losses.uct_t, losses.div_v, losses.div_t, losses.total)
+            sums = [s + x for s, x in zip(sums, terms)]
             batches += 1
         if batches == 0:
             raise InsufficientPairs("every batch in the epoch was smaller than 2")
         if not (np.all(np.isfinite(z_v)) and np.all(np.isfinite(z_t))):
             raise InvariantViolation(f"non-finite prototype entries after epoch {epoch}")
-        means = sums / batches
-        records.append(EpochRecord(epoch, *map(float, means)))
+        records.append(EpochRecord(epoch, *(s / batches for s in sums)))
 
     return (
         PrototypeBank(modality=VISION, vectors=z_v),
@@ -368,11 +402,16 @@ def _batch_gradients(
 ) -> tuple[np.ndarray, np.ndarray, BatchLosses]:
     """gradients() on raw arrays; the hot path inside the epoch loop."""
     h_v, h_t = (map_targets(h, cfg.h_mapping) for h in _batch_means(xv, xt))
-    uct_v, grad_t_uct = _uct_value_grads(xv, z_t, h_v, cfg.evidence)
-    uct_t, grad_v_uct = _uct_value_grads(xt, z_v, h_t, cfg.evidence)
-    div_v, grad_v_div = _div_value_grad(z_v)
-    div_t, grad_t_div = _div_value_grad(z_t)
-    grad_v = grad_v_uct + cfg.lambda_div * grad_v_div
-    grad_t = grad_t_uct + cfg.lambda_div * grad_t_div
+    uct_v, grad_t = _uct_value_grads(xv, z_t, h_v, cfg.evidence)
+    uct_t, grad_v = _uct_value_grads(xt, z_v, h_t, cfg.evidence)
+    if cfg.lambda_div == 0.0:
+        # Adding 0 * grad could only turn a -0.0 entry into +0.0, and Adam's
+        # moments cannot tell the two apart, so the gradient is skipped.
+        div_v, div_t = _div_value(z_v)[0], _div_value(z_t)[0]
+    else:
+        div_v, grad_v_div = _div_value_grad(z_v)
+        div_t, grad_t_div = _div_value_grad(z_t)
+        grad_v += cfg.lambda_div * grad_v_div
+        grad_t += cfg.lambda_div * grad_t_div
     total = uct_v + uct_t + cfg.lambda_div * (div_v + div_t)
     return grad_v, grad_t, BatchLosses(uct_v, uct_t, div_v, div_t, total)

@@ -152,9 +152,12 @@ class TestScore:
         assert np.allclose([float(r[2]) for r in a], [float(r[2]) for r in b],
                            atol=1e-12)
 
-    def test_neither_modality_is_an_error(self, pipeline, capsys):
-        assert run(["score", "--ckpt", pipeline["ckpt"]]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+    def test_neither_modality_is_an_error(self, tmp_path, capsys):
+        # A usage error, raised before the (here missing) checkpoint is read.
+        with pytest.raises(SystemExit) as exc:
+            run(["score", "--ckpt", str(tmp_path / "nope.paup")])
+        assert exc.value.code == 2
+        assert "score needs --vis and/or --txt" in capsys.readouterr().err
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert run(["score", "--ckpt", str(tmp_path / "nope.paup"),

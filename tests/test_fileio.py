@@ -1,5 +1,6 @@
 """Wire formats: round-trips, byte stability, and typed corruption errors."""
 
+import os
 import struct
 import tracemalloc
 
@@ -26,6 +27,7 @@ from protouq.embed import _ROW_BLOCK
 from protouq.errors import (
     BadMagic,
     DimensionMismatch,
+    DimensionTooSmall,
     DuplicatePair,
     IndexOutOfRange,
     InvariantViolation,
@@ -136,12 +138,50 @@ class TestEmbeddingsIO:
         with pytest.raises(TruncatedFile):
             read_embeddings(path)
 
+    def test_huge_count_of_zero_width_rows_is_rejected_at_once(self, tmp_path):
+        path = tmp_path / "e.paue"
+        write_embeddings(unit_set(1, 3, 4), path)
+        path.write_bytes(path.read_bytes()[:_EMBED_HEADER_SIZE])
+        patched(path, 7, struct.pack("<QI", 2**40, 0))
+        with pytest.raises(DimensionTooSmall):
+            read_embeddings(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "e.paue"
         write_embeddings(unit_set(1, 3, 4), path)
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(InvariantViolation):
             read_embeddings(path)
+
+    @pytest.mark.parametrize("cut, shape, error", [
+        (0, None, None),
+        (-3, None, TruncatedFile),
+        (2, None, InvariantViolation),
+        # Declared sizes far past what the pipe holds read only what arrives.
+        (0, (2**40, 4), TruncatedFile),
+        (0, (1, 2**32 - 1), TruncatedFile),
+        (0, (2**40, 0), InvariantViolation),
+    ])
+    def test_read_from_a_pipe(self, tmp_path, cut, shape, error):
+        # A pipe has no size to check up front; its reads find a short or long payload.
+        es = unit_set(1, 3, 4)
+        write_embeddings(es, tmp_path / "e.paue")
+        blob = (tmp_path / "e.paue").read_bytes()
+        blob = blob[:cut] if cut < 0 else blob + b"x" * cut
+        if shape is not None:
+            blob = blob[:7] + struct.pack("<QI", *shape) + blob[_EMBED_HEADER_SIZE:]
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, blob)
+            os.close(write_end)
+            if error is None:
+                assert read_embeddings(f"/dev/fd/{read_end}").vectors.tobytes() == \
+                    read_embeddings(tmp_path / "e.paue").vectors.tobytes()
+            else:
+                with pytest.raises(error):
+                    read_embeddings(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
 
     def test_empty_file_is_truncated(self, tmp_path):
         path = tmp_path / "e.paue"
@@ -195,6 +235,20 @@ class TestEmbeddingsIO:
         finally:
             tracemalloc.stop()
         assert peak < 16 * n * d
+
+    def test_read_streams_the_payload_into_one_float64_copy(self, tmp_path):
+        # float64 copy (8 bytes an entry) + one float32 row block and the
+        # row-block temporaries; the file's bytes are never held whole
+        n, d = 20000, 64
+        path = tmp_path / "e.paue"
+        write_embeddings(unit_set(3, n, d), path)
+        tracemalloc.start()
+        try:
+            read_embeddings(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * n * d
 
     def test_no_tmp_files_left_behind(self, tmp_path):
         write_embeddings(unit_set(1, 3, 4), tmp_path / "e.paue")

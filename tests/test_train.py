@@ -33,7 +33,8 @@ from protouq.errors import (
     ModalityMismatch,
     ZeroPrototype,
 )
-from protouq.evidence import dirichlet_uncertainty
+from protouq.embed import _grouped
+from protouq.evidence import EVIDENCE_KINDS, dirichlet_uncertainty, evidence_slope
 from protouq.train import (
     H_MAPPINGS,
     PrototypeBank,
@@ -512,3 +513,159 @@ def test_caption_sampler_matches_per_item_reference(monkeypatch):
         assert np.array_equal(xt, txt.vectors[cols])
     assert np.array_equal(bank_v.vectors, ref_v)
     assert np.array_equal(bank_t.vectors, ref_t)
+
+
+# ---- the training step written out in full: the lean step must keep its bits ----
+
+
+def plain_uct_value_grads(instances, bank_vectors, targets, cfg):
+    n, _ = instances.shape
+    k = bank_vectors.shape[0]
+    p = instances @ bank_vectors.T
+    u, strength = dirichlet_uncertainty(generate_evidence(p, cfg))
+    diff = u - targets
+    value = float(np.mean(diff * diff))
+    with np.errstate(over="ignore"):
+        squared = strength * strength
+    slope = k / squared
+    huge = np.isinf(squared)
+    if huge.any():
+        slope[huge] = k / strength[huge] / strength[huge]
+    weight = (2.0 / n) * diff * slope
+    if cfg.kind == "exponential":
+        dslope = np.exp(p / cfg.tau) / cfg.tau
+    else:
+        dslope = evidence_slope(p, cfg)
+    return value, (weight[:, None] * dslope).T @ instances
+
+
+def plain_div_value_grad(vectors):
+    k = vectors.shape[0]
+    norms = np.linalg.norm(vectors, axis=1)
+    unit = vectors / norms[:, None]
+    gram = np.clip(unit @ unit.T, -1.0, 1.0)
+    row_sq = (gram * gram).sum(axis=1)
+    grad = (4.0 / (k * k)) * (gram @ unit - row_sq[:, None] * unit) / norms[:, None]
+    return float(np.mean(gram * gram)), grad
+
+
+def plain_batch_gradients(xv, xt, z_v, z_t, cfg):
+    h_v = map_targets(np.clip(xv @ xt.mean(axis=0), -1.0, 1.0), cfg.h_mapping)
+    h_t = map_targets(np.clip(xt @ xv.mean(axis=0), -1.0, 1.0), cfg.h_mapping)
+    uct_v, grad_t_uct = plain_uct_value_grads(xv, z_t, h_v, cfg.evidence)
+    uct_t, grad_v_uct = plain_uct_value_grads(xt, z_v, h_t, cfg.evidence)
+    div_v, grad_v_div = plain_div_value_grad(z_v)
+    div_t, grad_t_div = plain_div_value_grad(z_t)
+    grad_v = grad_v_uct + cfg.lambda_div * grad_v_div
+    grad_t = grad_t_uct + cfg.lambda_div * grad_t_div
+    total = uct_v + uct_t + cfg.lambda_div * (div_v + div_t)
+    return grad_v, grad_t, (uct_v, uct_t, div_v, div_t, total)
+
+
+class PlainAdam:
+    def __init__(self, shape, lr):
+        self.lr, self.m, self.v, self.t = lr, np.zeros(shape), np.zeros(shape), 0
+
+    def step(self, params, grad):
+        self.t += 1
+        self.m = 0.9 * self.m + (1.0 - 0.9) * grad
+        self.v = 0.999 * self.v + (1.0 - 0.999) * grad * grad
+        m_hat = self.m / (1.0 - 0.9 ** self.t)
+        v_hat = self.v / (1.0 - 0.999 ** self.t)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def plain_train(vis, txt, pairs, cfg):
+    """train() as first written, on the plain step, Adam and loss sums."""
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(3)
+    z_v = np.array(init_prototypes(cfg.k, vis.d, int(seeds[0]), VISION).vectors)
+    z_t = np.array(init_prototypes(cfg.k, vis.d, int(seeds[1]), TEXT).vectors)
+    sampler = np.random.default_rng(int(seeds[2]))
+    opt_v, opt_t = PlainAdam(z_v.shape, cfg.learning_rate), PlainAdam(z_t.shape, cfg.learning_rate)
+    _, starts, counts, captions = _grouped(pairs.vision_indices, pairs.text_indices)
+    records = []
+    for epoch in range(cfg.epochs):
+        order = sampler.permutation(vis.n)
+        options = counts[order]
+        pick = np.zeros(vis.n, dtype=np.int64)
+        pick[options > 1] = sampler.integers(options[options > 1])
+        chosen = captions[starts[order] + pick]
+        sums, batches = np.zeros(5), 0
+        for start in range(0, vis.n, cfg.batch_size):
+            rows, cols = order[start:start + cfg.batch_size], chosen[start:start + cfg.batch_size]
+            if rows.size < 2:
+                continue
+            grad_v, grad_t, losses = plain_batch_gradients(
+                vis.vectors[rows], txt.vectors[cols], z_v, z_t, cfg
+            )
+            opt_v.step(z_v, grad_v)
+            opt_t.step(z_t, grad_t)
+            sums += losses
+            batches += 1
+        records.append((epoch, *map(float, sums / batches)))
+    return z_v, z_t, records
+
+
+def step_inputs(seed):
+    rng = np.random.default_rng(seed)
+    # A shared offset spreads the mean similarities over negative and positive values.
+    xv = normalize_rows(rng.standard_normal((256, 32)) + 0.2, VISION).vectors
+    xt = normalize_rows(rng.standard_normal((256, 32)) + 0.2, TEXT).vectors
+    return xv, xt, rng.standard_normal((8, 32)) * 0.5, rng.standard_normal((8, 32)) * 0.5
+
+
+@pytest.mark.parametrize("kind", EVIDENCE_KINDS)
+@pytest.mark.parametrize("h_mapping", H_MAPPINGS)
+@pytest.mark.parametrize("lambda_div", [0.0, 0.7])
+def test_lean_step_keeps_the_plain_step_bits(kind, h_mapping, lambda_div):
+    xv, xt, z_v, z_t = step_inputs(90)
+    cfg = TrainConfig(epochs=1, seed=0, k=8, lambda_div=lambda_div, h_mapping=h_mapping,
+                      evidence=EvidenceConfig(kind=kind))
+    grad_v, grad_t, losses = _batch_gradients(xv, xt, z_v, z_t, cfg)
+    want_v, want_t, want_losses = plain_batch_gradients(xv, xt, z_v, z_t, cfg)
+    assert np.array_equal(grad_v, want_v) and np.array_equal(grad_t, want_t)
+    assert (losses.uct_v, losses.uct_t, losses.div_v, losses.div_t, losses.total) == want_losses
+
+    opt, ref = _AdamState(z_v.shape, 0.1), PlainAdam(z_v.shape, 0.1)
+    got, want = z_v.copy(), z_v.copy()
+    for grad in (grad_v, grad_t, grad_v):
+        opt.step(got, grad)
+        ref.step(want, grad)
+    assert got.tobytes() == want.tobytes()
+    assert opt.m.tobytes() == ref.m.tobytes() and opt.v.tobytes() == ref.v.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["softplus", "relu"])
+def test_lean_step_keeps_the_plain_step_bits_where_strength_squared_overflows(kind):
+    xv, xt, z_v, z_t = step_inputs(91)
+    if kind == "softplus":
+        # gamma 1e-300 puts every S near 8 ln 2 / gamma, about 5.5e300
+        evidence = EvidenceConfig(kind=kind, gamma=1e-300)
+    else:
+        # 4 prototypes of norm 1.2e154 near one direction: S overflows when
+        # squared in rows well aligned with it, and stays small in rows
+        # facing away, where K / S^2 and K / S / S can round apart
+        evidence = EvidenceConfig(kind=kind)
+        w = normalize_rows(np.ones((4, 32)) + 0.3 * np.random.default_rng(92).standard_normal((4, 32)),
+                           TEXT).vectors
+        z_v[:4] = z_t[:4] = 1.2e154 * w
+    cfg = TrainConfig(epochs=1, seed=0, k=8, lambda_div=0.7, evidence=evidence)
+    _, strength = dirichlet_uncertainty(generate_evidence(xv @ z_t.T, evidence))
+    assert strength.max() > 1.4e154
+    if kind == "relu":
+        assert strength.min() < 1e154
+    grad_v, grad_t, losses = _batch_gradients(xv, xt, z_v, z_t, cfg)
+    want_v, want_t, want_losses = plain_batch_gradients(xv, xt, z_v, z_t, cfg)
+    assert np.array_equal(grad_v, want_v) and np.array_equal(grad_t, want_t)
+    assert (losses.uct_v, losses.uct_t, losses.div_v, losses.div_t, losses.total) == want_losses
+
+
+@pytest.mark.parametrize("lambda_div", [0.0, 0.7])
+def test_lean_train_keeps_the_plain_banks_and_history(lambda_div):
+    vis, txt, pairs, _ = smoke_corpus()
+    cfg = smoke_config(epochs=3, lambda_div=lambda_div)
+    bank_v, bank_t, hist = train(vis, txt, pairs, cfg)
+    z_v, z_t, records = plain_train(vis, txt, pairs, cfg)
+    assert bank_v.vectors.tobytes() == z_v.tobytes()
+    assert bank_t.vectors.tobytes() == z_t.tobytes()
+    assert [(r.epoch, r.uct_v, r.uct_t, r.div_v, r.div_t, r.total) for r in hist.records] == records
