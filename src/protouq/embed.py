@@ -227,13 +227,16 @@ def similarity_matrix(vis: EmbeddingSet, txt: EmbeddingSet) -> SimilarityMatrix:
     return _stacked(source.shape, source.blocks())
 
 
-def _batch_means(xv: np.ndarray, xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column means of xv @ xt.T, as xv . mean(xt) and xt . mean(xv),
-    clipped to [-1, 1] against rounding: O((n_v + n_t) d), no matrix.  The
-    column means are add.reduce / n, the bits of mean(axis=0)."""
-    h_v = xv @ (np.add.reduce(xt, axis=0) / xt.shape[0])
-    h_t = xt @ (np.add.reduce(xv, axis=0) / xv.shape[0])
-    return h_v.clip(-1.0, 1.0, out=h_v), h_t.clip(-1.0, 1.0, out=h_t)
+def _batch_means(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row of x's mean similarity to the rows of y: the row means of
+    x @ y.T, as x . mean(y), clipped to [-1, 1] against rounding:
+    O((n_x + n_y) d), no matrix.  It works over the last two axes, so a
+    (2, n, d) stack of both modalities against its reverse gives both
+    directions in one call.  The mean is add.reduce / n, the bits of
+    mean(axis=0)."""
+    mean = np.add.reduce(y, axis=-2) / y.shape[-2]
+    h = np.matmul(x, mean[..., None])[..., 0]
+    return h.clip(-1.0, 1.0, out=h)
 
 
 def batch_means(vis: EmbeddingSet, txt: EmbeddingSet) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +244,7 @@ def batch_means(vis: EmbeddingSet, txt: EmbeddingSet) -> tuple[np.ndarray, np.nd
     up to rounding, without forming it.  h_v[i] is vision instance i's mean
     similarity over all texts; h_t[j] text instance j's over all visions."""
     _check_cross_modal(vis, txt)
-    return _batch_means(vis.vectors, txt.vectors)
+    return _batch_means(vis.vectors, txt.vectors), _batch_means(txt.vectors, vis.vectors)
 
 
 def _grouped(keys: np.ndarray, partners: np.ndarray):

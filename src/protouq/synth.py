@@ -141,20 +141,31 @@ def generate_corpus(
 
     levels = np.arange(1, spec.m_max + 1)
     ms = rng.choice(levels, size=spec.n_items, p=np.array(spec.ambiguity_weights))
-    chosen_sets = tuple(
-        tuple(sorted(rng.choice(spec.k_true, size=int(m), replace=False)))
-        for m in ms
-    )
+    # slots[i, j] is item i's j-th direction for j < ms[i], else unused.
+    slots = np.zeros((spec.n_items, spec.m_max), dtype=np.int64)
+    chosen_sets = []
+    for i, m in enumerate(ms):
+        chosen = tuple(sorted(rng.choice(spec.k_true, size=int(m), replace=False)))
+        slots[i, :m] = chosen
+        chosen_sets.append(chosen)
 
-    base = np.zeros((spec.n_items, spec.d))
-    for i, chosen in enumerate(chosen_sets):
-        base[i] = directions[list(chosen)].sum(axis=0)
+    # Each item's direction sum, added slot by slot in the order that
+    # sum(axis=0) of its chosen rows adds them, so with the same bits.  A
+    # slot's rows are gathered into the buffer that the vision noise is
+    # drawn into next, so the sums allocate no (n_items, d) temporary
+    # ("clip" because every index is in range; "raise" would copy).
+    base = directions[slots[:, 0]]
+    vis_raw = np.empty_like(base)
+    for j in range(1, spec.m_max):
+        np.take(directions, slots[:, j], axis=0, out=vis_raw, mode="clip")
+        np.add(base, vis_raw, out=base, where=(ms > j)[:, None])
+    del slots
 
     # base + sigma * noise in place: a product or sum rounds the same in
     # either operand order.  Captions of item i are rows i * cpi, ...,
     # i * cpi + cpi - 1, so base adds through an (n_items, cpi, d) view.
     cpi = spec.captions_per_item
-    vis_raw = rng.standard_normal((spec.n_items, spec.d))
+    rng.standard_normal(out=vis_raw)
     vis_raw *= spec.noise_sigma
     vis_raw += base
     txt_raw = rng.standard_normal((spec.n_items * cpi, spec.d))
@@ -165,7 +176,7 @@ def generate_corpus(
     captions = np.arange(spec.n_items * cpi)
     pairs = PairSet(pairs=np.stack([captions // cpi, captions], axis=1))
     labels = AmbiguityLabels(
-        counts=tuple(int(m) for m in ms), semantic_sets=chosen_sets
+        counts=tuple(int(m) for m in ms), semantic_sets=tuple(chosen_sets)
     )
     return (
         _normalized(vis_raw, VISION),

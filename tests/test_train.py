@@ -294,7 +294,7 @@ class TestGradients:
         xt = normalize_rows(rng.standard_normal((64, 12)) + 0.3, TEXT).vectors
         z_v = init_prototypes(4, 12, seed=55).vectors
         z_t = init_prototypes(4, 12, seed=56, modality=TEXT).vectors
-        _, _, losses = _batch_gradients(xv, xt, z_v, z_t, cfg)
+        _, losses = _batch_gradients(np.stack((xt, xv)), np.stack((z_v, z_t)), cfg)
         m = np.clip(xv @ xt.T, -1.0, 1.0)
         for x, bank, h, got in ((xv, z_t, m.mean(axis=1), losses.uct_v),
                                 (xt, z_v, m.mean(axis=0), losses.uct_t)):
@@ -463,8 +463,9 @@ def many_to_many_corpus():
 
 
 def reference_train(vis, txt, pairs, cfg):
-    """Adam training with the per-item caption loop: one integers() draw per
-    item with several captions, walked in permutation order."""
+    """The plain step and Adam with the per-item caption loop: one
+    integers() draw per item with several captions, walked in permutation
+    order."""
     caption_lists = {}
     for v, t in pairs.pairs.tolist():
         caption_lists.setdefault(v, []).append(t)
@@ -472,8 +473,8 @@ def reference_train(vis, txt, pairs, cfg):
     z_v = np.array(init_prototypes(cfg.k, vis.d, int(seeds[0]), VISION).vectors)
     z_t = np.array(init_prototypes(cfg.k, vis.d, int(seeds[1]), TEXT).vectors)
     sampler = np.random.default_rng(int(seeds[2]))
-    opt_v = _AdamState(z_v.shape, cfg.learning_rate)
-    opt_t = _AdamState(z_t.shape, cfg.learning_rate)
+    opt_v = PlainAdam(z_v.shape, cfg.learning_rate)
+    opt_t = PlainAdam(z_t.shape, cfg.learning_rate)
     batches = []
     for _ in range(cfg.epochs):
         order = sampler.permutation(vis.n)
@@ -486,7 +487,7 @@ def reference_train(vis, txt, pairs, cfg):
             if rows.size < 2:
                 continue
             batches.append(cols)
-            grad_v, grad_t, _ = _batch_gradients(vis.vectors[rows], txt.vectors[cols], z_v, z_t, cfg)
+            grad_v, grad_t, _ = plain_batch_gradients(vis.vectors[rows], txt.vectors[cols], z_v, z_t, cfg)
             opt_v.step(z_v, grad_v)
             opt_t.step(z_t, grad_t)
     return z_v, z_t, batches
@@ -502,9 +503,10 @@ def test_caption_sampler_matches_per_item_reference(monkeypatch):
 
     seen = []
 
-    def recording(xv, xt, z_v, z_t, cfg):
-        seen.append(xt)
-        return _batch_gradients(xv, xt, z_v, z_t, cfg)
+    def recording(x, z, cfg):
+        # train() reuses one gather buffer, so the text rows are copied.
+        seen.append(x[0].copy())
+        return _batch_gradients(x, z, cfg)
 
     monkeypatch.setattr(importlib.import_module("protouq.train"), "_batch_gradients", recording)
     bank_v, bank_t, _ = train(vis, txt, pairs, cfg)
@@ -606,6 +608,12 @@ def plain_train(vis, txt, pairs, cfg):
     return z_v, z_t, records
 
 
+def stacked_step(xv, xt, z_v, z_t, cfg):
+    """_batch_gradients on the stacks train() builds, split back per bank."""
+    grad, losses = _batch_gradients(np.stack((xt, xv)), np.stack((z_v, z_t)), cfg)
+    return grad[0], grad[1], losses
+
+
 def step_inputs(seed):
     rng = np.random.default_rng(seed)
     # A shared offset spreads the mean similarities over negative and positive values.
@@ -621,7 +629,7 @@ def test_lean_step_keeps_the_plain_step_bits(kind, h_mapping, lambda_div):
     xv, xt, z_v, z_t = step_inputs(90)
     cfg = TrainConfig(epochs=1, seed=0, k=8, lambda_div=lambda_div, h_mapping=h_mapping,
                       evidence=EvidenceConfig(kind=kind))
-    grad_v, grad_t, losses = _batch_gradients(xv, xt, z_v, z_t, cfg)
+    grad_v, grad_t, losses = stacked_step(xv, xt, z_v, z_t, cfg)
     want_v, want_t, want_losses = plain_batch_gradients(xv, xt, z_v, z_t, cfg)
     assert np.array_equal(grad_v, want_v) and np.array_equal(grad_t, want_t)
     assert (losses.uct_v, losses.uct_t, losses.div_v, losses.div_t, losses.total) == want_losses
@@ -654,7 +662,7 @@ def test_lean_step_keeps_the_plain_step_bits_where_strength_squared_overflows(ki
     assert strength.max() > 1.4e154
     if kind == "relu":
         assert strength.min() < 1e154
-    grad_v, grad_t, losses = _batch_gradients(xv, xt, z_v, z_t, cfg)
+    grad_v, grad_t, losses = stacked_step(xv, xt, z_v, z_t, cfg)
     want_v, want_t, want_losses = plain_batch_gradients(xv, xt, z_v, z_t, cfg)
     assert np.array_equal(grad_v, want_v) and np.array_equal(grad_t, want_t)
     assert (losses.uct_v, losses.uct_t, losses.div_v, losses.div_t, losses.total) == want_losses
@@ -669,3 +677,53 @@ def test_lean_train_keeps_the_plain_banks_and_history(lambda_div):
     assert bank_v.vectors.tobytes() == z_v.tobytes()
     assert bank_t.vectors.tobytes() == z_t.tobytes()
     assert [(r.epoch, r.uct_v, r.uct_t, r.div_v, r.div_t, r.total) for r in hist.records] == records
+
+
+def test_short_batch_in_a_reused_buffer_keeps_the_plain_step_bits():
+    # train() gathers a short last batch into buf[:, :m], a view whose two
+    # slices lie a full batch apart, over the rows of an earlier batch.
+    xv, xt, z_v, z_t = step_inputs(93)
+    cfg = TrainConfig(epochs=1, seed=0, k=8, lambda_div=0.7)
+    buf = np.stack((xv, xt))
+    m = 101
+    x = buf[:, :m]
+    x[0], x[1] = xt[-m:], xv[-m:]
+    grad, losses = _batch_gradients(x, np.stack((z_v, z_t)), cfg)
+    want_v, want_t, want_losses = plain_batch_gradients(xv[-m:], xt[-m:], z_v, z_t, cfg)
+    assert np.array_equal(grad[0], want_v) and np.array_equal(grad[1], want_t)
+    assert (losses.uct_v, losses.uct_t, losses.div_v, losses.div_t, losses.total) == want_losses
+
+
+@pytest.mark.parametrize("lambda_div", [0.0, 0.7])
+def test_single_prototype_keeps_the_plain_step_bits(lambda_div):
+    xv, xt, z_v, z_t = step_inputs(94)
+    cfg = TrainConfig(epochs=1, seed=0, k=1, lambda_div=lambda_div)
+    grad_v, grad_t, losses = stacked_step(xv, xt, z_v[:1], z_t[:1], cfg)
+    want_v, want_t, want_losses = plain_batch_gradients(xv, xt, z_v[:1], z_t[:1], cfg)
+    assert grad_v.shape == grad_t.shape == (1, 32)
+    assert np.array_equal(grad_v, want_v) and np.array_equal(grad_t, want_t)
+    assert (losses.uct_v, losses.uct_t, losses.div_v, losses.div_t, losses.total) == want_losses
+
+
+def test_strength_squared_overflowing_in_one_direction_keeps_the_other_fast_path_bits():
+    # Vision rows against a text bank of norm 1.2e154 overflow S^2; text
+    # rows against the ordinary vision bank do not.  The fallback then runs
+    # on the whole stack, and the text direction must keep the bits it has
+    # when nothing overflows.
+    xv, xt, z_v, z_t = step_inputs(95)
+    cfg = TrainConfig(epochs=1, seed=0, k=8, lambda_div=0.7, evidence=EvidenceConfig(kind="relu"))
+    w = normalize_rows(np.ones((4, 32)) + 0.3 * np.random.default_rng(96).standard_normal((4, 32)),
+                       TEXT).vectors
+    huge_t = z_t.copy()
+    huge_t[:4] = 1.2e154 * w
+    _, s_v = dirichlet_uncertainty(generate_evidence(xv @ huge_t.T, cfg.evidence))
+    _, s_t = dirichlet_uncertainty(generate_evidence(xt @ z_v.T, cfg.evidence))
+    assert s_v.max() > 1.4e154 and s_t.max() < 1e154
+    grad_v, grad_t, losses = stacked_step(xv, xt, z_v, huge_t, cfg)
+    want_v, want_t, want_losses = plain_batch_gradients(xv, xt, z_v, huge_t, cfg)
+    assert np.array_equal(grad_v, want_v) and np.array_equal(grad_t, want_t)
+    assert (losses.uct_v, losses.uct_t, losses.div_v, losses.div_t, losses.total) == want_losses
+    fast_v, _, fast_losses = stacked_step(xv, xt, z_v, z_t, cfg)
+    assert np.array_equal(grad_v, fast_v)
+    assert (losses.uct_t, losses.div_v) == (fast_losses.uct_t, fast_losses.div_v)
+
