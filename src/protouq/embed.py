@@ -39,10 +39,14 @@ def _as_float_matrix(matrix) -> np.ndarray:
     return out
 
 
-# Rows per block of the O(n * d) row passes (norms here, the float32
-# conversion in fileio.write_embeddings), so their temporaries are
-# (block x d) arrays, not a second copy of the matrix.
-_ROW_BLOCK = 1024
+# Rows per block of every O(n * d) row pass (the norms here, the float32
+# rows fileio reads and writes) and of every similarity block the rankings
+# read, so their temporaries are (block x d) and (block x n_text) arrays,
+# not a second copy of a matrix.  The row passes give the same bits at any
+# block size; the similarity blocks do not: OpenBLAS rounds a matmul's rows
+# differently at other row counts, so another size can move a similarity
+# by one ulp, and with it an exact tie and the ranks it sets.
+_ROW_BLOCK = 256
 
 
 def _checked_rows(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -143,11 +147,6 @@ def cosine(u, v) -> float:
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
-# Vision rows per similarity block.  Rankings read the similarities one
-# block at a time, so their temporaries are a few (block x n_text) arrays.
-_RANK_BLOCK = 256
-
-
 @dataclass(frozen=True)
 class SimilarityMatrix:
     """Cosine similarities with vision instances on rows, text on columns."""
@@ -169,10 +168,10 @@ class SimilarityMatrix:
         return self.values.shape
 
     def blocks(self):
-        """(start, block) per _RANK_BLOCK rows, the block a read-only view of
+        """(start, block) per _ROW_BLOCK rows, the block a read-only view of
         rows start, start + 1, ... of values: a block source, never a copy."""
-        for start in range(0, self.shape[0], _RANK_BLOCK):
-            yield start, self.values[start:start + _RANK_BLOCK]
+        for start in range(0, self.shape[0], _ROW_BLOCK):
+            yield start, self.values[start:start + _ROW_BLOCK]
 
 
 def _check_cross_modal(vis: EmbeddingSet, txt: EmbeddingSet) -> None:
@@ -197,9 +196,9 @@ class _SimilarityBlocks:
         self.shape = (vis.n, txt.n)
 
     def blocks(self):
-        buffer = np.empty((min(self.shape[0], _RANK_BLOCK), self.shape[1]))
-        for start in range(0, self.shape[0], _RANK_BLOCK):
-            rows = self._vis[start:start + _RANK_BLOCK]
+        buffer = np.empty((min(self.shape[0], _ROW_BLOCK), self.shape[1]))
+        for start in range(0, self.shape[0], _ROW_BLOCK):
+            rows = self._vis[start:start + _ROW_BLOCK]
             block = np.matmul(rows, self._txt.T, out=buffer[:len(rows)])
             yield start, np.clip(block, -1.0, 1.0, out=block)
 

@@ -8,6 +8,10 @@ is not byte-stable in general.  Every artifact, the binary files here and
 the CLI's CSVs alike, is written through _atomic_write: a temp file in the
 target directory followed by an atomic rename, so a crash or a failing
 writer never leaves a half-written artifact at the destination path.
+The float32 rows of embedding files and prototype banks have one encoder,
+_write_rows, and one decoder, _Cursor.rows, whatever the source: a regular
+file, a pipe or a whole checkpoint.  Text inputs are UTF-8, and a leading
+byte-order mark is skipped.
 
 Embedding files:   magic "PAUE" | version u16 | modality u8 | n u64 |
                    d u32 | n*d float32 row-major.
@@ -78,49 +82,81 @@ def _atomic_write(path, mode="wb", **open_kwargs):
 
 
 class _Cursor:
-    """Sequential reader over loaded bytes (a whole checkpoint, an embedding
-    file's header) that typed-errors on EOF.  take() returns views of the
-    bytes, never copies."""
+    """Sequential reader over a binary source of known size: an open regular
+    file, or bytes read whole or spooled from a pipe.  Every read is checked
+    against that size before anything is read or allocated, so a source that
+    is too short raises the same TruncatedFile whatever it is."""
 
-    def __init__(self, blob: bytes, path):
-        self.blob = memoryview(blob)
+    def __init__(self, source, size: int, path, pos: int = 0):
+        self.source = source
+        self.size = size
         self.path = path
-        self.pos = 0
+        self.pos = pos
 
-    def take(self, count: int) -> memoryview:
-        end = self.pos + count
-        if end > len(self.blob):
+    def _advance(self, count: int) -> None:
+        if self.pos + count > self.size:
             raise TruncatedFile(
                 f"{self.path}: needed {count} bytes at offset {self.pos}, "
-                f"file has {len(self.blob)}"
+                f"file has {self.size}"
             )
-        out = self.blob[self.pos:end]
-        self.pos = end
-        return out
+        self.pos += count
+
+    def take(self, count: int) -> bytes:
+        self._advance(count)
+        return self.source.read(count)
 
     def unpack(self, fmt: struct.Struct) -> tuple:
         return fmt.unpack(self.take(fmt.size))
 
-    def take_f32(self, rows: int, cols: int) -> np.ndarray:
-        """A rows x cols float32 block as a new float64 array, its only
-        allocation.  A signaling NaN becomes a quiet NaN without a
-        RuntimeWarning, for the row checks to reject."""
-        raw = np.frombuffer(self.take(4 * rows * cols), dtype="<f4")
+    def rows(self, n: int, d: int) -> np.ndarray:
+        """The one decoder of float32 rows: n x d of them as a new float64
+        array, read _ROW_BLOCK rows at a time through one float32 buffer, so
+        the array is the only allocation that grows with n.  A signaling NaN
+        becomes a quiet NaN without a RuntimeWarning, for the row checks to
+        reject."""
+        self._advance(4 * n * d)
+        matrix = np.empty((n, d))
+        buffer = np.empty((min(n, _ROW_BLOCK), d), dtype="<f4")
         with np.errstate(invalid="ignore"):
-            return raw.astype(np.float64).reshape(rows, cols)
+            # Rows of width 0 hold no bytes, however many the header declares.
+            for start in range(0, n if d else 0, _ROW_BLOCK):
+                block = buffer[:n - start]
+                self.source.readinto(block)
+                matrix[start:start + _ROW_BLOCK] = block
+        return matrix
 
     def done(self) -> None:
-        if self.pos != len(self.blob):
-            raise InvariantViolation(
-                f"{self.path}: {len(self.blob) - self.pos} trailing bytes "
-                "after the declared payload"
-            )
+        if self.pos != self.size:
+            raise InvariantViolation(f"{self.path}: trailing bytes after the declared payload")
+
+
+def _spooled(fh, count: int, path, pos: int = 0) -> _Cursor:
+    """A cursor at offset pos over the next count bytes of a stream with no
+    size to check (a pipe), or as many as it holds: they are read in chunks
+    of at most _PIPE_CHUNK bytes, so memory follows what the stream holds,
+    not what was asked."""
+    chunks = []
+    while count > 0:
+        chunk = fh.read(min(count, _PIPE_CHUNK))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        count -= len(chunk)
+    blob = b"".join(chunks)
+    return _Cursor(io.BytesIO(blob), pos + len(blob), path, pos)
+
+
+def _write_rows(fh, matrix: np.ndarray) -> None:
+    """The one encoder of float32 rows: matrix's rows as little-endian
+    float32, converted one _ROW_BLOCK at a time."""
+    for start in range(0, matrix.shape[0], _ROW_BLOCK):
+        fh.write(matrix[start:start + _ROW_BLOCK].astype("<f4"))
 
 
 def _read_text(path) -> str:
-    """A UTF-8 text file with "\r\n" and "\r" read as "\n"; bytes that do
-    not decode are a ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """A UTF-8 text file with "\r\n" and "\r" read as "\n" and a leading
+    byte-order mark dropped; bytes that do not decode are a ParseError."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
@@ -144,15 +180,13 @@ def _check_magic_version(cur: _Cursor, expected_magic: bytes) -> None:
 
 
 def write_embeddings(embeddings: EmbeddingSet, path) -> None:
-    """Write a "PAUE" file: the header, then the rows as float32, converted
-    one row block at a time."""
+    """Write a "PAUE" file: the header, then the rows as float32."""
     header = _MAGIC_VERSION.pack(EMBEDDINGS_MAGIC, FORMAT_VERSION) + _EMBED_HEADER.pack(
         _MODALITY_CODES[embeddings.modality], embeddings.n, embeddings.d
     )
     with _atomic_write(path) as fh:
         fh.write(header)
-        for start in range(0, embeddings.n, _ROW_BLOCK):
-            fh.write(embeddings.vectors[start:start + _ROW_BLOCK].astype("<f4"))
+        _write_rows(fh, embeddings.vectors)
 
 
 def read_embeddings(path) -> EmbeddingSet:
@@ -160,62 +194,27 @@ def read_embeddings(path) -> EmbeddingSet:
 
     Stored vectors are float32, so unit norms hold only to float32
     precision; re-normalizing restores the EmbeddingSet invariant and
-    surfaces genuinely zero rows as ZeroVector.  A regular file's size is
-    checked against the declared payload before anything is allocated, and
-    the payload is read one row block at a time through one float32 buffer
-    into the float64 array that is normalized in place into the returned
-    set: that array, the buffer and row-block temporaries are all the read
-    holds.  A pipe has no size to check, so its payload is read in bounded
-    chunks as it arrives, then cast: a header that declares more than the
-    pipe holds allocates only what arrived before the TruncatedFile.
+    surfaces genuinely zero rows as ZeroVector.  A regular file is read in
+    place.  A pipe has no size, so its payload, and one byte more to find
+    trailing bytes, is spooled first as it arrives.  Either way the payload
+    the header declares is checked against what the source holds before
+    anything is allocated, and then decoded one row block at a time into
+    the float64 array that is normalized in place into the returned set.
     """
     header_size = _MAGIC_VERSION.size + _EMBED_HEADER.size
     with open(path, "rb") as fh:
-        cur = _Cursor(fh.read(header_size), path)
+        status = os.fstat(fh.fileno())
+        regular = stat.S_ISREG(status.st_mode)
+        cur = _Cursor(fh, status.st_size, path) if regular else _spooled(fh, header_size, path)
         _check_magic_version(cur, EMBEDDINGS_MAGIC)
         modality_code, n, d = cur.unpack(_EMBED_HEADER)
         if modality_code not in _MODALITY_NAMES:
             raise InvariantViolation(f"{path}: unknown modality byte {modality_code}")
-        payload = 4 * n * d
-        status = os.fstat(fh.fileno())
-        if not stat.S_ISREG(status.st_mode):
-            blob = _read_at_most(fh, payload)
-            if len(blob) < payload:
-                raise TruncatedFile(f"{path}: payload shorter than the declared {payload} bytes")
-            matrix = _Cursor(blob, path).take_f32(n, d)
-        elif status.st_size < header_size + payload:
-            raise TruncatedFile(
-                f"{path}: needed {payload} bytes at offset {header_size}, "
-                f"file has {status.st_size}"
-            )
-        else:
-            matrix = np.empty((n, d))
-            buffer = np.empty((min(n, _ROW_BLOCK), d), dtype="<f4")
-            # A signaling NaN becomes a quiet NaN without a RuntimeWarning,
-            # for the row checks to reject.
-            with np.errstate(invalid="ignore"):
-                # Rows of width 0 hold no bytes, however many the header declares.
-                for start in range(0, n if d else 0, _ROW_BLOCK):
-                    rows = buffer[:n - start]
-                    if fh.readinto(rows) != rows.nbytes:
-                        raise TruncatedFile(f"{path}: payload shorter than the declared {payload} bytes")
-                    matrix[start:start + _ROW_BLOCK] = rows
-        if fh.read(1):
-            raise InvariantViolation(f"{path}: trailing bytes after the declared payload")
+        if not regular:
+            cur = _spooled(fh, 4 * n * d + 1, path, cur.pos)
+        matrix = cur.rows(n, d)
+        cur.done()
     return _normalized(matrix, _MODALITY_NAMES[modality_code])
-
-
-def _read_at_most(fh, count: int) -> bytes:
-    """Up to count bytes of a stream, read in chunks of at most _PIPE_CHUNK
-    bytes, so memory follows what the stream holds, not what was asked."""
-    chunks = []
-    while count > 0:
-        chunk = fh.read(min(count, _PIPE_CHUNK))
-        if not chunk:
-            break
-        chunks.append(chunk)
-        count -= len(chunk)
-    return b"".join(chunks)
 
 
 def read_embeddings_csv(path, modality: str) -> EmbeddingSet:
@@ -328,14 +327,9 @@ class Checkpoint:
                 raise InvariantViolation(f"metadata key {key!r} is not encodable")
 
 
-def _pack_bank(bank: PrototypeBank) -> bytes:
-    header = _BANK_HEADER.pack(bank.k, bank.d)
-    return header + np.ascontiguousarray(bank.vectors, dtype="<f4").tobytes()
-
-
 def _unpack_bank(cur: _Cursor, modality: str) -> PrototypeBank:
     k, d = cur.unpack(_BANK_HEADER)
-    return PrototypeBank(modality=modality, vectors=cur.take_f32(k, d))
+    return PrototypeBank(modality=modality, vectors=cur.rows(k, d))
 
 
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -343,11 +337,12 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
     meta_bytes = meta_text.encode("utf-8")
     ev = ckpt.evidence
     with _atomic_write(path) as fh:
+        fh.write(_MAGIC_VERSION.pack(CHECKPOINT_MAGIC, FORMAT_VERSION))
+        for bank in (ckpt.bank_v, ckpt.bank_t):
+            fh.write(_BANK_HEADER.pack(bank.k, bank.d))
+            _write_rows(fh, bank.vectors)
         fh.write(
-            _MAGIC_VERSION.pack(CHECKPOINT_MAGIC, FORMAT_VERSION)
-            + _pack_bank(ckpt.bank_v)
-            + _pack_bank(ckpt.bank_t)
-            + _EVIDENCE_BLOCK.pack(_KIND_CODES[ev.kind], ev.gamma, ev.theta, ev.tau)
+            _EVIDENCE_BLOCK.pack(_KIND_CODES[ev.kind], ev.gamma, ev.theta, ev.tau)
             + _RERANK_BLOCK.pack(ckpt.rerank.beta1, ckpt.rerank.beta2)
             + _META_LEN.pack(len(meta_bytes))
             + meta_bytes
@@ -356,7 +351,8 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def read_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        cur = _Cursor(fh.read(), path)
+        blob = fh.read()
+    cur = _Cursor(io.BytesIO(blob), len(blob), path)
     _check_magic_version(cur, CHECKPOINT_MAGIC)
     bank_v = _unpack_bank(cur, VISION)
     bank_t = _unpack_bank(cur, TEXT)

@@ -20,7 +20,7 @@ from protouq import (
     uncertainty_scores,
 )
 from protouq.cli import _write_csv, run
-from protouq.embed import _RANK_BLOCK
+from protouq.embed import _ROW_BLOCK
 from protouq.errors import ProtoUQError
 
 
@@ -298,6 +298,16 @@ class TestAnalyze:
         m_caps[0] = 1.5
         assert f"pcc_u_m_text={pearson(u_t, m_caps):.6f}" in capsys.readouterr().out
 
+    def test_labels_csv_with_a_byte_order_mark(self, pipeline, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"\xef\xbb\xbf" + Path(pipeline["labels"]).read_bytes())
+        args = ["analyze", "pcc", "--ckpt", pipeline["ckpt"], "--vis", pipeline["vis"],
+                "--txt", pipeline["txt"], "--pairs", pipeline["pairs"], "--labels"]
+        assert run(args + [pipeline["labels"]]) == 0
+        want = capsys.readouterr().out
+        assert run(args + [str(labels)]) == 0
+        assert capsys.readouterr().out == want
+
     def test_removal_curve_default_fractions(self, pipeline, tmp_path, capsys):
         out_csv = tmp_path / "curve.csv"
         assert run([
@@ -376,7 +386,7 @@ class TestStreaming:
         assert run(["rerank", *corpus, "--ckpt", ckpt, "--out-matrix", str(matrix_csv)]) == 0
         model = read_checkpoint(ckpt)
         vis, txt = read_embeddings(corpus[1]), read_embeddings(corpus[3])
-        assert vis.n > _RANK_BLOCK
+        assert vis.n > _ROW_BLOCK
         reranked = apply_rerank(
             similarity_matrix(vis, txt),
             uncertainty_scores(vis, model.bank_t, model.evidence),

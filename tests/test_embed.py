@@ -14,7 +14,7 @@ from protouq import (
     normalize_rows,
     similarity_matrix,
 )
-from protouq.embed import _RANK_BLOCK, _ROW_BLOCK
+from protouq.embed import _ROW_BLOCK
 from protouq.errors import (
     DimensionMismatch,
     DimensionTooSmall,
@@ -68,8 +68,9 @@ class TestNormalizeRows:
     def test_modality_is_kept(self):
         assert normalize_rows([[1.0, 0.0]], TEXT).modality == TEXT
 
+    # Several whole blocks, then a last block one row short of full, full, or of one row.
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("n", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
+    @pytest.mark.parametrize("n", [4 * _ROW_BLOCK - 1, 4 * _ROW_BLOCK, 4 * _ROW_BLOCK + 1, 8 * _ROW_BLOCK + 1])
     def test_bit_identical_to_one_norm_call_at_block_edges(self, n, order):
         rng = np.random.default_rng(n)
         raw = np.asarray(rng.standard_normal((n, 7)) * rng.uniform(0.1, 10.0, (n, 1)), order=order)
@@ -170,11 +171,11 @@ class TestSimilarityMatrix:
             m.values[0, 0] = 1.0
 
     def test_blocks_are_read_only_views_of_values(self):
-        values = np.random.default_rng(4).uniform(-1.0, 1.0, (2 * _RANK_BLOCK + 5, 3))
+        values = np.random.default_rng(4).uniform(-1.0, 1.0, (2 * _ROW_BLOCK + 5, 3))
         m = SimilarityMatrix(values=values)
-        assert m.shape == (2 * _RANK_BLOCK + 5, 3)
+        assert m.shape == (2 * _ROW_BLOCK + 5, 3)
         blocks = list(m.blocks())
-        assert [start for start, _ in blocks] == [0, _RANK_BLOCK, 2 * _RANK_BLOCK]
+        assert [start for start, _ in blocks] == [0, _ROW_BLOCK, 2 * _ROW_BLOCK]
         for _, block in blocks:
             assert np.shares_memory(block, m.values)
             assert not block.flags.writeable

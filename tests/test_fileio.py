@@ -183,6 +183,31 @@ class TestEmbeddingsIO:
         finally:
             os.close(read_end)
 
+    @pytest.mark.parametrize("cut, shape, want", [
+        (0, None, "needed 6 bytes at offset 0, file has 0"),
+        (10, None, "needed 13 bytes at offset 6, file has 10"),
+        (_EMBED_HEADER_SIZE + 5, None, "needed 48 bytes at offset 19, file has 24"),
+        (-3, None, "needed 48 bytes at offset 19, file has 64"),
+        (None, (2**40, 4), "needed 17592186044416 bytes at offset 19, file has 67"),
+    ], ids=["empty", "in-header", "mid-row", "last-row", "huge-count"])
+    def test_a_cut_file_and_pipe_raise_the_same_truncation(self, tmp_path, cut, shape, want):
+        path = tmp_path / "e.paue"
+        write_embeddings(unit_set(1, 3, 4), path)
+        blob = path.read_bytes()[:cut]
+        if shape is not None:
+            blob = blob[:7] + struct.pack("<QI", *shape) + blob[_EMBED_HEADER_SIZE:]
+        path.write_bytes(blob)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, blob)
+            os.close(write_end)
+            for source in (path, f"/dev/fd/{read_end}"):
+                with pytest.raises(TruncatedFile) as exc:
+                    read_embeddings(source)
+                assert str(exc.value) == f"{source}: {want}"
+        finally:
+            os.close(read_end)
+
     def test_empty_file_is_truncated(self, tmp_path):
         path = tmp_path / "e.paue"
         path.write_bytes(b"")
@@ -196,7 +221,8 @@ class TestEmbeddingsIO:
         with pytest.raises(InvariantViolation, match="row 1"):
             read_embeddings(path)
 
-    @pytest.mark.parametrize("n", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
+    # Several whole blocks, then a last block one row short of full, full, or of one row.
+    @pytest.mark.parametrize("n", [4 * _ROW_BLOCK - 1, 4 * _ROW_BLOCK, 4 * _ROW_BLOCK + 1, 8 * _ROW_BLOCK + 1])
     def test_round_trip_is_byte_identical_at_block_edges(self, tmp_path, n):
         # Each step against its one-call form: the whole-array float32 cast
         # on write, np.linalg.norm over all rows on read.
@@ -268,6 +294,11 @@ class TestEmbeddingsCsv:
         path.write_text("1,0\n0,1\n")
         assert read_embeddings_csv(path, "vision").n == 2
 
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,0\n0,1\n")
+        assert np.array_equal(read_embeddings_csv(path, "vision").vectors, np.eye(2))
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("1,0\n\n0,1\n\n")
@@ -309,6 +340,11 @@ class TestPairsIO:
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "p.tsv"
         path.write_text("0\t0\n\n1\t2\n")
+        assert read_pairs(path).pairs.tolist() == [[0, 0], [1, 2]]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        path.write_bytes(b"\xef\xbb\xbf0\t0\n1\t2\n")
         assert read_pairs(path).pairs.tolist() == [[0, 0], [1, 2]]
 
     def test_wrong_field_count(self, tmp_path):
@@ -392,7 +428,7 @@ def reference_read_pairs(path):
     """The line-by-line parser: universal newlines, blank lines skipped,
     each other line split on one tab into two int() fields."""
     entries = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.rstrip("\r\n")
             if not text:
@@ -477,6 +513,26 @@ class TestCheckpointIO:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(TruncatedFile):
             read_checkpoint(path)
+
+    def test_text_bank_cut_mid_row(self, tmp_path):
+        # The text bank's rows start at 6 + 32 + 8; cut 5 floats into them.
+        path = tmp_path / "m.paup"
+        write_checkpoint(small_checkpoint(), path)
+        path.write_bytes(path.read_bytes()[:46 + 4 * 5])
+        with pytest.raises(TruncatedFile, match="needed 24 bytes at offset 46, file has 66"):
+            read_checkpoint(path)
+
+    def test_read_from_a_pipe(self, tmp_path):
+        path, again = tmp_path / "m.paup", tmp_path / "again.paup"
+        write_checkpoint(small_checkpoint(), path)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, path.read_bytes())
+            os.close(write_end)
+            write_checkpoint(read_checkpoint(f"/dev/fd/{read_end}"), again)
+        finally:
+            os.close(read_end)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "m.paup"

@@ -19,7 +19,7 @@ from protouq import (
     retrieval_reports,
     softmax,
 )
-from protouq.embed import _RANK_BLOCK, _SimilarityBlocks
+from protouq.embed import _ROW_BLOCK, _SimilarityBlocks
 from protouq.errors import (
     EmptyVector,
     InvalidConfig,
@@ -114,7 +114,7 @@ class TestRetrievalRanks:
 
     def test_matches_naive_oracle_past_one_query_block(self):
         rng = np.random.default_rng(69)
-        n_vision, n_text = _RANK_BLOCK + 37, 2 * _RANK_BLOCK + 5
+        n_vision, n_text = _ROW_BLOCK + 37, 2 * _ROW_BLOCK + 5
         values = np.round(rng.uniform(-1.0, 1.0, size=(n_vision, n_text)), 2)
         pairs = random_many_to_many(rng, n_vision, n_text)
         for direction in ("t2v", "v2t"):
@@ -148,15 +148,15 @@ class TestRetrievalRanks:
         assert ranks[:sink].tolist() == [h + t + 1 for h, t in outranked]
 
     def test_t2v_counts_a_whole_block_outranking(self):
-        # Texts 0 and 1 have one positive, vision _RANK_BLOCK in the second
-        # block; all _RANK_BLOCK rows of the first block score above text 0's
+        # Texts 0 and 1 have one positive, vision _ROW_BLOCK in the second
+        # block; all _ROW_BLOCK rows of the first block score above text 0's
         # and tie text 1's at lower indices.  Text 2 covers those rows.
-        values = np.zeros((_RANK_BLOCK + 1, 3))
-        values[:_RANK_BLOCK, 0] = 0.5
+        values = np.zeros((_ROW_BLOCK + 1, 3))
+        values[:_ROW_BLOCK, 0] = 0.5
         values[:, 1] = 0.5
-        pairs = [(_RANK_BLOCK, 0), (_RANK_BLOCK, 1)] + [(v, 2) for v in range(_RANK_BLOCK)]
+        pairs = [(_ROW_BLOCK, 0), (_ROW_BLOCK, 1)] + [(v, 2) for v in range(_ROW_BLOCK)]
         ranks = retrieval_ranks(values, PairSet(pairs=pairs), "t2v")
-        assert ranks.tolist() == [_RANK_BLOCK + 1, _RANK_BLOCK + 1, 1]
+        assert ranks.tolist() == [_ROW_BLOCK + 1, _ROW_BLOCK + 1, 1]
 
     def test_unknown_direction_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -194,7 +194,7 @@ class TestEvaluateRetrieval:
 
     def test_both_directions_in_one_call_match_per_direction_reports(self):
         rng = np.random.default_rng(72)
-        values = np.round(rng.uniform(-1.0, 1.0, size=(_RANK_BLOCK + 9, 40)), 1)
+        values = np.round(rng.uniform(-1.0, 1.0, size=(_ROW_BLOCK + 9, 40)), 1)
         pairs = random_many_to_many(rng, *values.shape)
         assert retrieval_reports(values, pairs) == [
             evaluate_retrieval(values, pairs, direction) for direction in ("t2v", "v2t")
@@ -356,7 +356,7 @@ class TestRemovalCurve:
     def test_streamed_from_embeddings_matches_naive_oracle(self, mode):
         # tied scores from a few distinct vectors, vision rows past one block
         rng = np.random.default_rng(71)
-        n_vision, n_text = _RANK_BLOCK + 14, 120
+        n_vision, n_text = _ROW_BLOCK + 14, 120
         vis = normalize_rows(rng.standard_normal((4, 5))[rng.integers(0, 4, n_vision)], "vision")
         txt = normalize_rows(rng.standard_normal((4, 5))[rng.integers(0, 4, n_text)], "text")
         pairs = random_many_to_many(rng, n_vision, n_text)

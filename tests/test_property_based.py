@@ -39,7 +39,7 @@ from protouq import (
     write_embeddings,
 )
 from protouq.cli import run
-from protouq.embed import _RANK_BLOCK
+from protouq.embed import _ROW_BLOCK
 from protouq.metrics import DIRECTIONS, _report
 from test_metrics import assert_matches_naive_oracle, naive_ranks, random_many_to_many
 
@@ -173,7 +173,7 @@ def tied_rankings(draw):
     counts cross one rank block."""
     n_vision = draw(st.one_of(
         st.integers(min_value=1, max_value=9),
-        st.integers(min_value=_RANK_BLOCK - 2, max_value=_RANK_BLOCK + 20),
+        st.integers(min_value=_ROW_BLOCK - 2, max_value=_ROW_BLOCK + 20),
     ))
     n_text = draw(st.integers(min_value=1, max_value=7))
     levels = draw(st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0]),
@@ -196,28 +196,28 @@ def _distinct_case(n_vision, n_text, pairs):
 
 
 # Every block skips the index tie-break.
-NO_TIE = _distinct_case(2 * _RANK_BLOCK + 9, 5, [(i, i % 5) for i in range(2 * _RANK_BLOCK + 9)])
+NO_TIE = _distinct_case(2 * _ROW_BLOCK + 9, 5, [(i, i % 5) for i in range(2 * _ROW_BLOCK + 9)])
 
-# v2t query _RANK_BLOCK + 3 (positive text 4) ties text 0, below its index,
+# v2t query _ROW_BLOCK + 3 (positive text 4) ties text 0, below its index,
 # in the second block only.
-V2T_TIE = _distinct_case(2 * _RANK_BLOCK + 9, 5, [(i, i % 5) for i in range(2 * _RANK_BLOCK + 9)])
-V2T_TIE[0][_RANK_BLOCK + 3, 0] = V2T_TIE[0][_RANK_BLOCK + 3, (_RANK_BLOCK + 3) % 5]
+V2T_TIE = _distinct_case(2 * _ROW_BLOCK + 9, 5, [(i, i % 5) for i in range(2 * _ROW_BLOCK + 9)])
+V2T_TIE[0][_ROW_BLOCK + 3, 0] = V2T_TIE[0][_ROW_BLOCK + 3, (_ROW_BLOCK + 3) % 5]
 
-# Text 0's only positive is vision _RANK_BLOCK + 1; the first and third
-# blocks tie it, at vision 5 (counted) and 2 * _RANK_BLOCK + 1 (not).
+# Text 0's only positive is vision _ROW_BLOCK + 1; the first and third
+# blocks tie it, at vision 5 (counted) and 2 * _ROW_BLOCK + 1 (not).
 T2V_TIE = _distinct_case(
-    2 * _RANK_BLOCK + 9, 4,
-    [(_RANK_BLOCK + 1, 0)] + [(i, 1 + i % 3) for i in range(2 * _RANK_BLOCK + 9)],
+    2 * _ROW_BLOCK + 9, 4,
+    [(_ROW_BLOCK + 1, 0)] + [(i, 1 + i % 3) for i in range(2 * _ROW_BLOCK + 9)],
 )
-T2V_TIE[0][[5, 2 * _RANK_BLOCK + 1], 0] = T2V_TIE[0][_RANK_BLOCK + 1, 0]
+T2V_TIE[0][[5, 2 * _ROW_BLOCK + 1], 0] = T2V_TIE[0][_ROW_BLOCK + 1, 0]
 
 # Each vision row has one pair and the highest-u text goes first, so every
 # removal count leaves v2t queries with no kept pair; all entries are -0.0
 # or 0.0, so every block takes the tie-break.
 NO_KEPT_PAIR = (
-    np.where(np.arange(_RANK_BLOCK + 4)[:, None] % 2 == np.arange(3) % 2, -0.0, 0.0),
-    PairSet(pairs=[(i, i % 3) for i in range(_RANK_BLOCK + 4)]),
-    np.zeros(_RANK_BLOCK + 4),
+    np.where(np.arange(_ROW_BLOCK + 4)[:, None] % 2 == np.arange(3) % 2, -0.0, 0.0),
+    PairSet(pairs=[(i, i % 3) for i in range(_ROW_BLOCK + 4)]),
+    np.zeros(_ROW_BLOCK + 4),
     np.array([0.1, 0.9, 0.5]),
 )
 

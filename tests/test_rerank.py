@@ -22,7 +22,7 @@ from protouq import (
     similarity_matrix,
 )
 from protouq import rerank
-from protouq.embed import _RANK_BLOCK, _SimilarityBlocks
+from protouq.embed import _ROW_BLOCK, _SimilarityBlocks
 from protouq.errors import EmptyGrid, InvalidConfig, LengthMismatch
 from protouq.rerank import DEFAULT_BETA_GRID
 
@@ -372,7 +372,7 @@ def test_pair_score_pass_then_one_ranking_pass(name, monkeypatch):
 def test_ranking_leaves_its_input_unchanged(name, stored):
     # past one block, so the read-only views of a stored matrix get scaled
     rng = np.random.default_rng(86)
-    n_vision, n_text = _RANK_BLOCK + 3, 7
+    n_vision, n_text = _ROW_BLOCK + 3, 7
     values = rng.uniform(-1.0, 1.0, (n_vision, n_text))
     expected = values.copy()
     pairs = PairSet(pairs=[(i, i % n_text) for i in range(n_vision)])
