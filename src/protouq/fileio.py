@@ -9,9 +9,9 @@ the CLI's CSVs alike, is written through _atomic_write: a temp file in the
 target directory followed by an atomic rename, so a crash or a failing
 writer never leaves a half-written artifact at the destination path.
 The float32 rows of embedding files and prototype banks have one encoder,
-_write_rows, and one decoder, _Cursor.rows, whatever the source: a regular
-file, a pipe or a whole checkpoint.  Text inputs are UTF-8, and a leading
-byte-order mark is skipped.
+_write_rows, and one decoder, _Cursor.rows, whatever the source: _source
+gives both readers a cursor over a regular file or a spooled pipe.  Text
+inputs are UTF-8, and a leading byte-order mark is skipped.
 
 Embedding files:   magic "PAUE" | version u16 | modality u8 | n u64 |
                    d u32 | n*d float32 row-major.
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import stat
 import struct
@@ -83,9 +84,9 @@ def _atomic_write(path, mode="wb", **open_kwargs):
 
 class _Cursor:
     """Sequential reader over a binary source of known size: an open regular
-    file, or bytes read whole or spooled from a pipe.  Every read is checked
-    against that size before anything is read or allocated, so a source that
-    is too short raises the same TruncatedFile whatever it is."""
+    file, or bytes spooled from a pipe.  Every read is checked against that
+    size before anything is read or allocated, so a source that is too
+    short raises the same TruncatedFile whatever it is."""
 
     def __init__(self, source, size: int, path, pos: int = 0):
         self.source = source
@@ -130,11 +131,16 @@ class _Cursor:
             raise InvariantViolation(f"{self.path}: trailing bytes after the declared payload")
 
 
-def _spooled(fh, count: int, path, pos: int = 0) -> _Cursor:
-    """A cursor at offset pos over the next count bytes of a stream with no
-    size to check (a pipe), or as many as it holds: they are read in chunks
-    of at most _PIPE_CHUNK bytes, so memory follows what the stream holds,
-    not what was asked."""
+def _source(fh, path, count, pos: int = 0) -> _Cursor:
+    """A cursor at offset pos of an open file.  A regular file is read in
+    place, sized by fstat.  A pipe has no size, so its next count bytes, or
+    as many as it holds, are spooled first, in chunks of at most
+    _PIPE_CHUNK bytes: memory follows what the pipe holds, not what was
+    asked.  A reader takes its header through one cursor, checks the magic,
+    and only then takes another for the rest."""
+    status = os.fstat(fh.fileno())
+    if stat.S_ISREG(status.st_mode):
+        return _Cursor(fh, status.st_size, path, pos)
     chunks = []
     while count > 0:
         chunk = fh.read(min(count, _PIPE_CHUNK))
@@ -201,17 +207,13 @@ def read_embeddings(path) -> EmbeddingSet:
     anything is allocated, and then decoded one row block at a time into
     the float64 array that is normalized in place into the returned set.
     """
-    header_size = _MAGIC_VERSION.size + _EMBED_HEADER.size
     with open(path, "rb") as fh:
-        status = os.fstat(fh.fileno())
-        regular = stat.S_ISREG(status.st_mode)
-        cur = _Cursor(fh, status.st_size, path) if regular else _spooled(fh, header_size, path)
+        cur = _source(fh, path, _MAGIC_VERSION.size + _EMBED_HEADER.size)
         _check_magic_version(cur, EMBEDDINGS_MAGIC)
         modality_code, n, d = cur.unpack(_EMBED_HEADER)
         if modality_code not in _MODALITY_NAMES:
             raise InvariantViolation(f"{path}: unknown modality byte {modality_code}")
-        if not regular:
-            cur = _spooled(fh, 4 * n * d + 1, path, cur.pos)
+        cur = _source(fh, path, 4 * n * d + 1, cur.pos)
         matrix = cur.rows(n, d)
         cur.done()
     return _normalized(matrix, _MODALITY_NAMES[modality_code])
@@ -350,19 +352,22 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def read_checkpoint(path) -> Checkpoint:
+    """Load a "PAUP" file, read like read_embeddings: a wrong file fails
+    after its first 6 bytes, and a pipe is spooled to its end only after
+    the magic check."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    cur = _Cursor(io.BytesIO(blob), len(blob), path)
-    _check_magic_version(cur, CHECKPOINT_MAGIC)
-    bank_v = _unpack_bank(cur, VISION)
-    bank_t = _unpack_bank(cur, TEXT)
-    kind_code, gamma, theta, tau = cur.unpack(_EVIDENCE_BLOCK)
-    if kind_code not in _KIND_NAMES:
-        raise InvariantViolation(f"{path}: unknown evidence kind byte {kind_code}")
-    beta1, beta2 = cur.unpack(_RERANK_BLOCK)
-    (meta_len,) = cur.unpack(_META_LEN)
-    meta_bytes = cur.take(meta_len)
-    cur.done()
+        cur = _source(fh, path, _MAGIC_VERSION.size)
+        _check_magic_version(cur, CHECKPOINT_MAGIC)
+        cur = _source(fh, path, math.inf, cur.pos)
+        bank_v = _unpack_bank(cur, VISION)
+        bank_t = _unpack_bank(cur, TEXT)
+        kind_code, gamma, theta, tau = cur.unpack(_EVIDENCE_BLOCK)
+        if kind_code not in _KIND_NAMES:
+            raise InvariantViolation(f"{path}: unknown evidence kind byte {kind_code}")
+        beta1, beta2 = cur.unpack(_RERANK_BLOCK)
+        (meta_len,) = cur.unpack(_META_LEN)
+        meta_bytes = cur.take(meta_len)
+        cur.done()
     try:
         meta_text = str(meta_bytes, "utf-8")
     except UnicodeDecodeError as exc:

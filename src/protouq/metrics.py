@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import PairSet, _block_source
+from .embed import _ROW_BLOCK, PairSet, _block_source
 from .errors import (
     EmptyVector,
     InvalidConfig,
@@ -129,7 +129,8 @@ class _BestPositiveRanks:
     instances some kept pair uses are counted; a query with no kept pair
     gets rank 1.  Each block entry costs one comparison, one byte count
     and one equality test; the gallery-index tie-break runs only on a block
-    that holds a tie besides the best positives themselves.
+    that holds a tie besides the best positives themselves.  _rankings
+    builds every instance and feeds it every block.
     """
 
     def __init__(self, direction: str, shape, pairs: PairSet, pair_scores, keep=None):
@@ -165,21 +166,53 @@ class _BestPositiveRanks:
             )
 
 
-def _rank_pass(source, rankings) -> None:
-    """One block pass that feeds every block to every ranking."""
-    for start, block in source.blocks():
-        for ranking in rankings:
-            ranking.add(start, block)
+def _rescale(block, start, row, col, out=None) -> np.ndarray:
+    """Rows start, start + 1, ... of a matrix, scaled the way apply_rerank
+    scales the whole matrix, (m * row) * col, into out (a new array if
+    None); a factor that is None is left out, and with neither the block
+    itself is returned."""
+    if row is not None:
+        block = out = np.multiply(block, row[start:start + len(block), None], out=out)
+    return block if col is None else np.multiply(block, col, out=out)
 
 
-def _rankings(m, pairs: PairSet, directions) -> list[_BestPositiveRanks]:
-    """The ranks of m in each of directions, from a pair-score pass and one
-    ranking pass."""
+def _rankings(m, pairs: PairSet, groups) -> list[list[_BestPositiveRanks]]:
+    """The rankings of every group, from a pair-score pass and one ranking
+    pass; the only code that ranks blocks.
+
+    A group is (row, col, specs): factors that scale m the way apply_rerank
+    does, (m * row) * col, either None for no factor, and the (direction,
+    keep) of each ranking of the scaled m.  Its rankings start from the
+    pair scores scaled the same way, so each best positive holds the bits
+    of its scaled block entry.  Each group scales each block once, into one
+    scratch block, except the last, which scales a writable block in place
+    because nothing reads the block after it.
+    """
     source = _block_source(m)
     pairs.check_against(*source.shape)
     scores = _pair_scores(source, pairs)
-    rankings = [_BestPositiveRanks(d, source.shape, pairs, scores) for d in directions]
-    _rank_pass(source, rankings)
+    vs, ts = pairs.vision_indices, pairs.text_indices
+    rankings = []
+    for row, col, specs in groups:
+        scaled = scores if row is None else scores * row[vs]
+        if col is not None:
+            scaled = scaled * col[ts]
+        rankings.append(
+            [_BestPositiveRanks(d, source.shape, pairs, scaled, keep) for d, keep in specs]
+        )
+    scratch = None
+    for start, block in source.blocks():
+        for i, ((row, col, _), group) in enumerate(zip(groups, rankings)):
+            out = block
+            if (row is not None or col is not None) and (
+                i < len(groups) - 1 or not block.flags.writeable
+            ):
+                if scratch is None:
+                    scratch = np.empty((min(source.shape[0], _ROW_BLOCK), source.shape[1]))
+                out = scratch[:len(block)]
+            scaled = _rescale(block, start, row, col, out)
+            for ranking in group:
+                ranking.add(start, scaled)
     return rankings
 
 
@@ -187,7 +220,8 @@ def retrieval_ranks(m, pairs: PairSet, direction: str) -> np.ndarray:
     """Rank of every query's best positive, in query-index order."""
     if direction not in DIRECTIONS:
         raise InvalidConfig(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    return _rankings(m, pairs, [direction])[0].ranks
+    [[ranking]] = _rankings(m, pairs, [(None, None, [(direction, None)])])
+    return ranking.ranks
 
 
 def _report(ranks: np.ndarray, direction: str) -> RetrievalReport:
@@ -212,7 +246,8 @@ def evaluate_retrieval(m, pairs: PairSet, direction: str) -> RetrievalReport:
 def retrieval_reports(m, pairs: PairSet) -> list[RetrievalReport]:
     """evaluate_retrieval in every direction of DIRECTIONS, from one pass
     over the blocks for the pair scores and one that ranks both."""
-    return [_report(r.ranks, r.direction) for r in _rankings(m, pairs, DIRECTIONS)]
+    [rankings] = _rankings(m, pairs, [(None, None, [(d, None) for d in DIRECTIONS])])
+    return [_report(r.ranks, r.direction) for r in rankings]
 
 
 def pearson(x, y) -> float:
@@ -272,9 +307,9 @@ def removal_curve(
     Every surviving pair is one query, scored by its query's best-ranked
     surviving positive over the gallery instances some surviving pair still
     uses, so with one pair per query this matches evaluate_retrieval
-    exactly.  After one block pass for the pair scores, a second ranks
-    every count in both directions on the same blocks, with the survivors
-    as masks.
+    exactly.  All counts of both directions are one group of _rankings,
+    with the survivors as masks: a pair-score pass, then one ranking pass
+    over unscaled blocks.
     """
     source, u_v, u_t = _similarities_and_uncertainties(m, u_v, u_t)
     if mode not in (UNCERTAINTY_MODE, RANDOM_MODE):
@@ -283,7 +318,6 @@ def removal_curve(
         raise InvalidConfig(f"unknown removal side {side!r}")
     if seed < 0:
         raise InvalidConfig(f"seed must be unsigned, got {seed}")
-    pairs.check_against(*source.shape)
     counts = [int(c) for c in counts]
     if any(c < 0 for c in counts):
         raise InvalidConfig("removal counts must be nonnegative")
@@ -308,12 +342,9 @@ def removal_curve(
         keep[removed] = False
         return keep
 
-    scores = _pair_scores(source, pairs)
     keeps = {(d, r): survivors(d, r) for d in DIRECTIONS for r in counts}
-    rankings = {
-        (d, r): _BestPositiveRanks(d, source.shape, pairs, scores, keeps[d, r]) for d, r in keeps
-    }
-    _rank_pass(source, rankings.values())
+    [ranked] = _rankings(source, pairs, [(None, None, [(d, keeps[d, r]) for d, r in keeps])])
+    rankings = dict(zip(keeps, ranked))
 
     def r1(direction: str, r: int) -> float:
         query, _ = _sides(pairs, direction)

@@ -2,6 +2,7 @@
 
 import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,18 @@ _EMBED_HEADER_SIZE = 19
 def unit_set(seed, n, d, modality="vision"):
     rng = np.random.default_rng(seed)
     return normalize_rows(rng.standard_normal((n, d)), modality)
+
+
+def write_chunks(fd, blob, size):
+    """Write blob to fd in chunks of size bytes, then close fd; a reader
+    that closes its end early ends the writing."""
+    try:
+        for start in range(0, len(blob), size):
+            os.write(fd, blob[start:start + size])
+    except BrokenPipeError:
+        pass
+    finally:
+        os.close(fd)
 
 
 def patched(path, offset, raw: bytes):
@@ -533,6 +546,31 @@ class TestCheckpointIO:
         finally:
             os.close(read_end)
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("piped", [False, True], ids=["file", "pipe"])
+    def test_wrong_file_fails_before_its_payload_is_read(self, tmp_path, piped):
+        # A 4 MB PAUE file read as a checkpoint fails after its 6-byte magic,
+        # with no allocation that grows with the file.
+        path = tmp_path / "e.paue"
+        write_embeddings(unit_set(4, 16384, 64), path)
+        blob = memoryview(path.read_bytes())
+        read_end, write_end = os.pipe()
+        # The writer sends slices of the bytes read above, so that it
+        # allocates nothing that grows with the file either; when the file
+        # is read, it only fills the pipe until the read end closes.
+        writer = threading.Thread(target=write_chunks, args=(write_end, blob, 1 << 16))
+        tracemalloc.start()
+        try:
+            writer.start()
+            with pytest.raises(BadMagic):
+                read_checkpoint(f"/dev/fd/{read_end}" if piped else path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            os.close(read_end)
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert peak < len(blob) // 64
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "m.paup"

@@ -1,6 +1,7 @@
 """Uncertainty-weighted re-ranking and the beta grid search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from protouq import (
 from protouq import rerank
 from protouq.embed import _ROW_BLOCK, _SimilarityBlocks
 from protouq.errors import EmptyGrid, InvalidConfig, LengthMismatch
+from protouq.metrics import _rankings
 from protouq.rerank import DEFAULT_BETA_GRID
 
 
@@ -303,16 +305,23 @@ class TestStreamedFromEmbeddings:
         source = _SimilarityBlocks(vis, txt)
         params = RerankParams(beta1=1.5, beta2=0.75)
         reranked = apply_rerank(dense, u_v, u_t, params)
-        before, after = rerank._reranked_rankings(source, u_v, u_t, pairs, params)
+        specs = [(d, None) for d in ("t2v", "v2t")]
+        groups = [(None, None, specs), (*rerank._scales(u_v, u_t, params), specs)]
+        before, after = _rankings(source, pairs, groups)
         for plain, scaled in zip(before, after):
             direction = plain.direction
             assert plain.ranks.tolist() == retrieval_ranks(dense, pairs, direction).tolist()
             assert scaled.ranks.tolist() == retrieval_ranks(reranked, pairs, direction).tolist()
             assert plain.ranks.tolist() == retrieval_ranks(source, pairs, direction).tolist()
-        assert evaluate_reranked(source, u_v, u_t, pairs, params) == (
+        streamed = evaluate_reranked(source, u_v, u_t, pairs, params)
+        assert streamed == (
             [evaluate_retrieval(dense, pairs, d) for d in ("t2v", "v2t")],
             [evaluate_retrieval(reranked, pairs, d) for d in ("t2v", "v2t")],
         )
+        # the stored matrix's read-only blocks are scaled into a scratch
+        # block, the streamed ones in place
+        assert evaluate_reranked(dense, u_v, u_t, pairs, params) == streamed
+        assert fit_betas(dense, u_v, u_t, pairs) == fit_betas(source, u_v, u_t, pairs)
 
     def test_fit_matches_exhaustive_reference_on_dense_matrix(self):
         grid = (0.0, 0.5, 1.0, 2.5)
@@ -337,6 +346,26 @@ RANKINGS = {
     "fit_betas": lambda m, u_v, u_t, pairs: fit_betas(m, u_v, u_t, pairs),
     "removal_curve": lambda m, u_v, u_t, pairs: removal_curve(m, u_v, u_t, pairs, [1, 5]),
 }
+
+
+@pytest.mark.parametrize("name", ["fit_betas", "evaluate_reranked"])
+def test_ranking_pass_peak_memory_is_a_few_blocks(name):
+    # the streamed block, one scratch block and the ranking's temporaries;
+    # a scratch block per block or per (axis, beta) would pass 3 blocks
+    rng = np.random.default_rng(87)
+    n_vision, n_text, d = 4 * _ROW_BLOCK, 4000, 16
+    vis = normalize_rows(rng.standard_normal((n_vision, d)), VISION)
+    txt = normalize_rows(rng.standard_normal((n_text, d)), TEXT)
+    pairs = PairSet(pairs=np.column_stack([np.arange(n_text) % n_vision, np.arange(n_text)]))
+    u_v, u_t = rng.uniform(0.0, 1.0, n_vision), rng.uniform(0.0, 1.0, n_text)
+    source = _SimilarityBlocks(vis, txt)
+    tracemalloc.start()
+    try:
+        RANKINGS[name](source, u_v, u_t, pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * _ROW_BLOCK * n_text
 
 
 PASSES = {
