@@ -21,6 +21,7 @@ from .errors import InvalidConfig, ParseError, ProtoUQError
 from .evidence import (
     EVIDENCE_KINDS,
     EvidenceConfig,
+    RerankParams,
     dirichlet_uncertainty,
     generate_evidence,
     uncertainty_scores,
@@ -49,7 +50,7 @@ from .metrics import (
     retrieval_reports,
     softmax,
 )
-from .rerank import DEFAULT_BETA_GRID, RerankParams, _reranked_rows, evaluate_reranked, fit_betas
+from .rerank import DEFAULT_BETA_GRID, _reranked_rows, evaluate_reranked, fit_betas
 from .synth import SyntheticSpec, generate_corpus
 from .train import H_MAPPINGS, TrainConfig, map_targets, train
 
@@ -128,10 +129,12 @@ def _train_config(args) -> TrainConfig:
     )
 
 
+def _corpus(args):
+    return _load_embeddings(args.vis, VISION), _load_embeddings(args.txt, TEXT), read_pairs(args.pairs)
+
+
 def _cmd_train(args) -> int:
-    vis = _load_embeddings(args.vis, VISION)
-    txt = _load_embeddings(args.txt, TEXT)
-    pairs = read_pairs(args.pairs)
+    vis, txt, pairs = _corpus(args)
     cfg = _train_config(args)
     bank_v, bank_t, history = train(vis, txt, pairs, cfg)
     ckpt = Checkpoint(
@@ -197,9 +200,7 @@ def _scored_corpus(args, measure):
     """Shared loader: embeddings, pairs, measure(vis, txt), and, when --ckpt
     is given, the checkpoint and both u vectors (else None for all three)."""
     ckpt = read_checkpoint(args.ckpt) if args.ckpt else None
-    vis = _load_embeddings(args.vis, VISION)
-    txt = _load_embeddings(args.txt, TEXT)
-    pairs = read_pairs(args.pairs)
+    vis, txt, pairs = _corpus(args)
     pairs.check_against(vis.n, txt.n)
     m = measure(vis, txt)
     if ckpt is None:
@@ -305,6 +306,7 @@ def _cmd_analyze_pcc(args) -> int:
 
 def _read_labels_column(path, n_items) -> np.ndarray:
     m_items = np.full(n_items, np.nan)
+    seen = set()
     reader = csv.DictReader(_text_lines(path))
     for row in reader:
         try:
@@ -315,6 +317,9 @@ def _read_labels_column(path, n_items) -> np.ndarray:
             ) from None
         if not 0 <= item < n_items:
             raise ParseError(f"{path}:{reader.line_num}: item {item} is not in [0, {n_items})")
+        if item in seen:
+            raise ParseError(f"{path}:{reader.line_num}: item {item} appears more than once")
+        seen.add(item)
         m_items[item] = m
     missing = np.flatnonzero(~np.isfinite(m_items))
     if missing.size:

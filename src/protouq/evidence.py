@@ -12,6 +12,9 @@ Instances are unit vectors; prototypes carry a learnable, unconstrained
 norm.  The similarity fed to the evidence function is therefore the raw
 dot product (a norm-scaled cosine), which is what lets training place
 uncertainty anywhere in [0, 1) instead of being pinned near 1/2.
+
+Every type a checkpoint stores (PrototypeBank, EvidenceConfig, RerankParams)
+is defined here, beside the u it defines, so fileio needs neither train nor rerank.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import EmbeddingSet
+from .embed import _NORM_EPS, MODALITIES, EmbeddingSet, _checked_rows
 from .errors import (
     DimensionMismatch,
     EmptyVector,
     InvalidConfig,
     ModalityMismatch,
     NegativeEvidence,
+    ZeroPrototype,
 )
 
 RELU = "relu"
@@ -58,6 +62,46 @@ class EvidenceConfig:
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0.0:
                 raise InvalidConfig(f"{name} must be finite and positive, got {value}")
+
+
+@dataclass(frozen=True)
+class PrototypeBank:
+    """K learnable prototype vectors for one modality, norms unconstrained."""
+
+    modality: str
+    vectors: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.modality not in MODALITIES:
+            raise ModalityMismatch(f"unknown modality {self.modality!r}")
+        vectors, norms = _checked_rows(self.vectors)
+        if np.any(norms < _NORM_EPS):
+            raise ZeroPrototype("a prototype row has near-zero norm")
+        vectors = np.ascontiguousarray(vectors)
+        vectors.setflags(write=False)
+        object.__setattr__(self, "vectors", vectors)
+
+    @property
+    def k(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.vectors.shape[1]
+
+
+@dataclass(frozen=True)
+class RerankParams:
+    """Penalty strengths for the vision side (beta1) and text side (beta2)."""
+
+    beta1: float = 0.0
+    beta2: float = 0.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.beta1) and np.isfinite(self.beta2)):
+            raise InvalidConfig("beta1 and beta2 must be finite")
+        if self.beta1 < 0.0 or self.beta2 < 0.0:
+            raise InvalidConfig("beta1 and beta2 must be nonnegative")
 
 
 def generate_evidence(s, cfg: EvidenceConfig = EvidenceConfig()):
@@ -178,13 +222,11 @@ def dirichlet_from_evidence(e, k: int | None = None) -> DirichletState:
 
 def prototype_similarities(instances: EmbeddingSet, prototypes) -> np.ndarray:
     """(n, k) matrix of dot products between unit instances and prototypes."""
-    vectors = getattr(prototypes, "vectors", prototypes)
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if instances.d != vectors.shape[1]:
+    if instances.d != prototypes.d:
         raise DimensionMismatch(
-            f"dimension mismatch: instances d={instances.d}, prototypes d={vectors.shape[1]}"
+            f"dimension mismatch: instances d={instances.d}, prototypes d={prototypes.d}"
         )
-    return instances.vectors @ vectors.T
+    return instances.vectors @ prototypes.vectors.T
 
 
 def uncertainty_scores(instances: EmbeddingSet, prototypes, cfg: EvidenceConfig) -> np.ndarray:
@@ -202,8 +244,7 @@ def uncertainty_scores(instances: EmbeddingSet, prototypes, cfg: EvidenceConfig)
         overflows to inf, with a NumPy RuntimeWarning, from s = tau * 709.78
         (about 3549).
     """
-    bank_modality = getattr(prototypes, "modality", None)
-    if bank_modality is not None and bank_modality == instances.modality:
+    if prototypes.modality == instances.modality:
         raise ModalityMismatch(
             f"{instances.modality} instances must be scored against the "
             "opposite modality's prototypes"

@@ -44,9 +44,7 @@ from .errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
-from .evidence import EVIDENCE_KINDS, EvidenceConfig
-from .rerank import RerankParams
-from .train import PrototypeBank
+from .evidence import EVIDENCE_KINDS, EvidenceConfig, PrototypeBank, RerankParams
 
 EMBEDDINGS_MAGIC = b"PAUE"
 CHECKPOINT_MAGIC = b"PAUP"

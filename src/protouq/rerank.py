@@ -3,17 +3,17 @@
 High-uncertainty instances tend to sit close to many things at once and
 hub the top of ranked lists.  Discounting each entry by exponential
 penalties on both sides' uncertainties pushes such instances down without
-touching the confident ones.
+touching the confident ones.  The penalty weights, RerankParams, are
+defined in evidence, beside the u they penalise, since checkpoints store them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .embed import PairSet, SimilarityMatrix, _block_source, _stacked
 from .errors import EmptyGrid, InvalidConfig
+from .evidence import RerankParams
 from .metrics import (
     DIRECTIONS,
     T2V,
@@ -26,20 +26,6 @@ from .metrics import (
 
 # 0.0, 0.25, ..., 5.0 inclusive
 DEFAULT_BETA_GRID = tuple(round(0.25 * i, 2) for i in range(21))
-
-
-@dataclass(frozen=True)
-class RerankParams:
-    """Penalty strengths for the vision side (beta1) and text side (beta2)."""
-
-    beta1: float = 0.0
-    beta2: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.beta1) and np.isfinite(self.beta2)):
-            raise InvalidConfig("beta1 and beta2 must be finite")
-        if self.beta1 < 0.0 or self.beta2 < 0.0:
-            raise InvalidConfig("beta1 and beta2 must be nonnegative")
 
 
 def _scales(u_v, u_t, params: RerankParams):

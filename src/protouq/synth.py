@@ -84,6 +84,9 @@ class SyntheticSpec:
             )
         if self.seed < 0:
             raise InvalidSpec(f"seed must be unsigned, got {self.seed}")
+        for rows, cols in ((self.n_items * self.captions_per_item, self.d), (self.d, self.k_true)):
+            if 8 * rows * cols > np.iinfo(np.intp).max:
+                raise InvalidSpec(f"a ({rows}, {cols}) float64 draw exceeds NumPy's largest array")
 
     @property
     def m_max(self) -> int:

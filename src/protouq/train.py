@@ -1,4 +1,4 @@
-"""Prototype banks and their training loop.
+"""The training loop of the prototype banks (evidence.PrototypeBank).
 
 Each modality owns a bank of K prototype vectors.  Training fits both
 banks so that the uncertainty of an instance (scored against the other
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import (
-    MODALITIES,
     TEXT,
     VISION,
     _NORM_EPS,
@@ -26,7 +25,6 @@ from .embed import (
     PairSet,
     _batch_means,
     _check_cross_modal,
-    _checked_rows,
     _grouped,
 )
 from .errors import (
@@ -41,6 +39,7 @@ from .errors import (
 )
 from .evidence import (
     EvidenceConfig,
+    PrototypeBank,
     _slope_consuming_evidence,
     dirichlet_uncertainty,
     generate_evidence,
@@ -55,38 +54,14 @@ H_AFFINE = "affine"
 H_MAPPINGS = (H_CLAMP, H_AFFINE)
 
 
-@dataclass(frozen=True)
-class PrototypeBank:
-    """K learnable prototype vectors for one modality, norms unconstrained."""
-
-    modality: str
-    vectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.modality not in MODALITIES:
-            raise ModalityMismatch(f"unknown modality {self.modality!r}")
-        vectors, norms = _checked_rows(self.vectors)
-        if np.any(norms < _NORM_EPS):
-            raise ZeroPrototype("a prototype row has near-zero norm")
-        vectors = np.ascontiguousarray(vectors)
-        vectors.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
-
-    @property
-    def k(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.vectors.shape[1]
-
-
 def init_prototypes(k: int, d: int, seed: int, modality: str = VISION) -> PrototypeBank:
     """Seeded Xavier-uniform bank: entries drawn from +-sqrt(6 / (2 d))."""
     if k < 1:
         raise InvalidConfig(f"k must be >= 1, got {k}")
     if d < 2:
         raise DimensionTooSmall(f"d must be >= 2, got {d}")
+    if 8 * k * d > np.iinfo(np.intp).max:
+        raise InvalidConfig(f"a ({k}, {d}) float64 bank exceeds NumPy's largest array")
     bound = np.sqrt(6.0 / (2.0 * d))
     rng = np.random.default_rng(seed)
     vectors = rng.uniform(-bound, bound, size=(k, d))

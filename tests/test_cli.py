@@ -308,6 +308,15 @@ class TestAnalyze:
         assert run(args + [str(labels)]) == 0
         assert capsys.readouterr().out == want
 
+    def test_labels_csv_repeating_an_item_is_an_error(self, pipeline, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text(Path(pipeline["labels"]).read_text() + "0,4,0;1;2;3\n")
+        assert run([
+            "analyze", "pcc", "--ckpt", pipeline["ckpt"], "--vis", pipeline["vis"],
+            "--txt", pipeline["txt"], "--pairs", pipeline["pairs"], "--labels", str(labels),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {labels}:42: item 0 appears more than once\n"
+
     def test_removal_curve_default_fractions(self, pipeline, tmp_path, capsys):
         out_csv = tmp_path / "curve.csv"
         assert run([
@@ -510,6 +519,24 @@ class TestRuntimeErrors:
         assert run(["gen-synth", "--vis", str(tmp_path / "v"), "--txt", str(tmp_path / "t"),
                     "--pairs", str(tmp_path / "p"), "--n-items", "20", "--d", "8",
                     "--noise-sigma", "1e308"]) == 1
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("flags", [
+        ["gen-synth", "--n-items", "100000000000000000000000"],
+        ["gen-synth", "--n-items", "10", "--d", "100000000000000000000"],
+        ["gen-synth", "--n-items", "10", "--captions-per-item", "100000000000000000000"],
+        ["gen-synth", "--n-items", "1", "--captions-per-item", "1", "--d", "3037000500",
+         "--k-true", "3037000500", "--weights", "1"],
+        ["train", "--epochs", "1", "--k", "100000000000000000000"],
+    ], ids=["n-items", "d", "captions-per-item", "d-by-k-true", "k"])
+    def test_array_beyond_numpy_is_one_error_line(self, pipeline, tmp_path, capsys, flags):
+        # Each array would need more than intp.max bytes, so nothing is drawn.
+        if flags[0] == "train":
+            files = [*corpus_args(pipeline), "--ckpt", str(tmp_path / "m.paup")]
+        else:
+            files = ["--vis", str(tmp_path / "v"), "--txt", str(tmp_path / "t"),
+                     "--pairs", str(tmp_path / "p")]
+        assert run([*flags, *files]) == 1
         assert_one_line_error(capsys)
 
     def test_non_finite_csv_embeddings(self, pipeline, tmp_path, capsys):

@@ -27,8 +27,7 @@ from protouq.errors import (
     ModalityMismatch,
     NegativeEvidence,
 )
-from protouq.evidence import dirichlet_uncertainty, evidence_slope, prototype_similarities
-from protouq.train import PrototypeBank
+from protouq.evidence import PrototypeBank, dirichlet_uncertainty, evidence_slope, prototype_similarities
 
 
 class TestEvidenceConfig:

@@ -56,6 +56,12 @@ class TestSyntheticSpec:
             {"noise_sigma": -0.1},
             {"captions_per_item": 0},
             {"seed": -1},
+            # arrays of more than intp.max bytes, rejected before any draw
+            {"n_items": 10**23},
+            {"d": 10**20},
+            {"captions_per_item": 10**20},
+            {"n_items": 1, "captions_per_item": 1, "d": 3037000500, "k_true": 3037000500,
+             "ambiguity_weights": (1.0,)},
         ],
     )
     def test_bad_specs_rejected(self, overrides):

@@ -78,6 +78,10 @@ class TestInitPrototypes:
         with pytest.raises(DimensionTooSmall):
             init_prototypes(k=2, d=1, seed=0)
 
+    def test_bank_beyond_numpy_rejected(self):
+        with pytest.raises(InvalidConfig, match="exceeds NumPy's largest array"):
+            init_prototypes(k=10**20, d=8, seed=0)
+
 
 class TestPrototypeBank:
     def test_zero_row_rejected(self):
