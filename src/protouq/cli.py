@@ -51,7 +51,7 @@ from .metrics import (
     softmax,
 )
 from .rerank import DEFAULT_BETA_GRID, _reranked_rows, evaluate_reranked, fit_betas
-from .synth import SyntheticSpec, generate_corpus
+from .synth import DEFAULT_CORPUS_SPEC, SyntheticSpec, generate_corpus
 from .train import H_MAPPINGS, TrainConfig, map_targets, train
 
 
@@ -315,15 +315,17 @@ def _read_labels_column(path, n_items) -> np.ndarray:
             raise ParseError(
                 f"{path}:{reader.line_num}: needs an integer 'item' and a numeric 'm'"
             ) from None
+        if not (m.is_integer() and m >= 1):
+            raise ParseError(f"{path}:{reader.line_num}: 'm' must be a whole number >= 1")
         if not 0 <= item < n_items:
             raise ParseError(f"{path}:{reader.line_num}: item {item} is not in [0, {n_items})")
         if item in seen:
             raise ParseError(f"{path}:{reader.line_num}: item {item} appears more than once")
         seen.add(item)
         m_items[item] = m
-    missing = np.flatnonzero(~np.isfinite(m_items))
+    missing = np.flatnonzero(np.isnan(m_items))
     if missing.size:
-        raise ParseError(f"{path}: item {int(missing[0])} has no row with a finite 'm'")
+        raise ParseError(f"{path}: item {int(missing[0])} has no row")
     return m_items
 
 
@@ -344,15 +346,15 @@ def _cmd_analyze_removal(args) -> int:
     ]
     if args.out:
         _write_csv(args.out, ("mode", "removed", "r1_t2v", "r1_v2t"), rows)
-    last = curve.points[-1] if curve.points else None
+    last = curve.points[-1]
     _summary(
         "analyze-removal-curve",
         mode=curve.mode,
         side=curve.side,
         n_points=len(curve.points),
-        last_removed=getattr(last, "removed", 0),
-        last_r1_t2v=f"{last.r1_t2v:.4f}" if last else "nan",
-        last_r1_v2t=f"{last.r1_v2t:.4f}" if last else "nan",
+        last_removed=last.removed,
+        last_r1_t2v=f"{last.r1_t2v:.4f}",
+        last_r1_v2t=f"{last.r1_v2t:.4f}",
     )
     return 0
 
@@ -423,21 +425,21 @@ def _add_corpus_flags(p: argparse.ArgumentParser, ckpt_help=None, ckpt_required=
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=8, help="prototypes per bank")
+    p.add_argument("--k", type=int, default=TrainConfig.k, help="prototypes per bank")
     p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--lambda-div", type=float, default=1.0)
-    p.add_argument("--h-mapping", choices=sorted(H_MAPPINGS), default="clamp")
-    p.add_argument("--beta1", type=float, default=0.0, help="stored rerank weight")
-    p.add_argument("--beta2", type=float, default=0.0, help="stored rerank weight")
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--lambda-div", type=float, default=TrainConfig.lambda_div)
+    p.add_argument("--h-mapping", choices=sorted(H_MAPPINGS), default=TrainConfig.h_mapping)
+    p.add_argument("--beta1", type=float, default=RerankParams.beta1, help="stored rerank weight")
+    p.add_argument("--beta2", type=float, default=RerankParams.beta2, help="stored rerank weight")
 
 
 def _add_evidence_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--evidence", choices=list(EVIDENCE_KINDS), default="exponential")
-    p.add_argument("--tau", type=float, default=5.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--theta", type=float, default=20.0)
+    p.add_argument("--evidence", choices=list(EVIDENCE_KINDS), default=EvidenceConfig.kind)
+    p.add_argument("--tau", type=float, default=EvidenceConfig.tau)
+    p.add_argument("--gamma", type=float, default=EvidenceConfig.gamma)
+    p.add_argument("--theta", type=float, default=EvidenceConfig.theta)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,14 +454,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--txt", required=True, help="output text embeddings")
     p.add_argument("--pairs", required=True, help="output pairs file")
     p.add_argument("--labels", help="optional ambiguity labels CSV")
-    p.add_argument("--n-items", type=int, default=2000)
-    p.add_argument("--d", type=int, default=64)
-    p.add_argument("--k-true", type=int, default=8)
-    p.add_argument("--weights", type=_comma_list(float), default="0.25,0.25,0.25,0.25",
+    spec = DEFAULT_CORPUS_SPEC
+    p.add_argument("--n-items", type=int, default=spec.n_items)
+    p.add_argument("--d", type=int, default=spec.d)
+    p.add_argument("--k-true", type=int, default=spec.k_true)
+    p.add_argument("--weights", type=_comma_list(float), default=spec.ambiguity_weights,
                    help="comma weights for m=1,2,...")
-    p.add_argument("--noise-sigma", type=float, default=0.05)
-    p.add_argument("--captions-per-item", type=int, default=2)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--noise-sigma", type=float, default=spec.noise_sigma)
+    p.add_argument("--captions-per-item", type=int, default=spec.captions_per_item)
+    p.add_argument("--seed", type=int, default=spec.seed)
     p.set_defaults(func=_cmd_gen_synth)
 
     p = sub.add_parser("train", help="train prototype banks")

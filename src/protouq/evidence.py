@@ -183,24 +183,21 @@ def dirichlet_uncertainty(evidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return 1.0 - k / strength, strength
 
 
-def dirichlet_from_evidence(e, k: int | None = None) -> DirichletState:
+def dirichlet_from_evidence(e) -> DirichletState:
     """Build the Dirichlet state for one evidence vector.
 
     alpha = e + 1, S = sum(alpha), b = e / S, psi = K / S, u = 1 - psi.
     The masses satisfy sum(b) + psi = 1 with every component nonnegative,
     and u is in [0, 1) up to the float64 limit dirichlet_uncertainty
-    documents (u == 1.0 from S >= K * 2**54).  k, when given, must equal
-    len(e); it is otherwise inferred.
+    documents (u == 1.0 from S >= K * 2**54), with K = len(e).
 
     Raises:
-        EmptyVector: e has no entries, or k disagrees with len(e).
+        EmptyVector: e has no entries.
         NegativeEvidence: an entry is negative or not finite.
     """
     evidence = np.asarray(e, dtype=np.float64).ravel()
     if evidence.size == 0:
         raise EmptyVector("evidence vector has no entries")
-    if k is not None and k != evidence.size:
-        raise EmptyVector(f"k={k} disagrees with len(e)={evidence.size}")
     if not np.all(np.isfinite(evidence)) or np.any(evidence < 0.0):
         raise NegativeEvidence("evidence entries must be finite and nonnegative")
     evidence = evidence.copy()

@@ -29,8 +29,8 @@ DEFAULT_BETA_GRID = tuple(round(0.25 * i, 2) for i in range(21))
 
 
 def _scales(u_v, u_t, params: RerankParams):
-    """apply_rerank's row and column factors."""
-    return np.exp(-params.beta1 * u_v), np.exp(-params.beta2 * u_t)
+    """apply_rerank's row and column factors, None for a zero beta."""
+    return tuple(np.exp(-b * u) if b else None for b, u in ((params.beta1, u_v), (params.beta2, u_t)))
 
 
 def _reranked_rows(m, u_v, u_t, params: RerankParams):
@@ -48,9 +48,9 @@ def apply_rerank(m, u_v, u_t, params: RerankParams) -> SimilarityMatrix:
 
     Entry (i, j) becomes exp(-beta1 * u_v[i]) * exp(-beta2 * u_t[j]) * m[i, j].
     Both scale factors lie in (0, 1] because uncertainties and betas are
-    nonnegative, so the result still lives in [-1, 1].  With beta1 = beta2
-    = 0 both factors are exactly 1.0 and the values pass through bit for
-    bit.
+    nonnegative, so the result still lives in [-1, 1].  A zero beta is no
+    factor, as exp(-0 * u) is exactly 1.0, so with beta1 = beta2 = 0 the
+    values pass through bit for bit.
     """
     source = _block_source(m)
     return _stacked(source.shape, _reranked_rows(source, u_v, u_t, params))
@@ -82,9 +82,9 @@ def fit_betas(m, u_v, u_t, pairs: PairSet, grid=DEFAULT_BETA_GRID) -> RerankPara
     factor scales its whole gallery alike, so t2v ranks depend on beta1 only;
     likewise v2t ranks depend on beta2 only.  So each beta is swept alone
     with the other at 0, and every grid beta of both axes is one group of
-    _rankings, which scales each block into one scratch block per group: a
-    pair-score pass, then one ranking pass, whatever the grid size.  A hit
-    is a rank of 1.  Each axis takes its smallest best beta, the pair an
+    _rankings, which scales each block into one scratch block per nonzero
+    beta: a pair-score pass, then one ranking pass, whatever the grid size.
+    A hit is a rank of 1.  Each axis takes its smallest best beta, the pair an
     exhaustive ascending sweep with strict improvement picks; the grid must
     contain 0 so that the baseline (0, 0) is a candidate.  Caveat: the
     other side's factor can round two scores one ulp apart into a tie that
@@ -99,8 +99,8 @@ def fit_betas(m, u_v, u_t, pairs: PairSet, grid=DEFAULT_BETA_GRID) -> RerankPara
     if 0.0 not in candidates:
         raise InvalidConfig("beta grid must contain 0 (the no-penalty baseline)")
     source, u_v, u_t = _similarities_and_uncertainties(m, u_v, u_t)
-    groups = [(np.exp(-b * u_v), None, [(T2V, None)]) for b in candidates]
-    groups += [(None, np.exp(-b * u_t), [(V2T, None)]) for b in candidates]
+    groups = [(*_scales(u_v, u_t, RerankParams(beta1=b)), [(T2V, None)]) for b in candidates]
+    groups += [(*_scales(u_v, u_t, RerankParams(beta2=b)), [(V2T, None)]) for b in candidates]
     hits = [np.count_nonzero(ranking.ranks == 1) for [ranking] in _rankings(source, pairs, groups)]
     n = len(candidates)
     return RerankParams(

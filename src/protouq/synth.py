@@ -24,17 +24,18 @@ def _canonical_weights(raw) -> tuple[float, ...]:
     Accepts either a mapping {m: weight} or a sequence whose entry i is the
     weight of m = i + 1.
     """
-    if isinstance(raw, dict):
-        if not raw:
-            raise InvalidSpec("ambiguity_weights is empty")
-        for m in raw:
-            if int(m) != m or m < 1:
-                raise InvalidSpec(f"ambiguity level {m!r} is not a positive integer")
-        dense = [0.0] * max(int(m) for m in raw)
-        for m, w in raw.items():
-            dense[int(m) - 1] = float(w)
-    else:
-        dense = [float(w) for w in raw]
+    try:
+        if isinstance(raw, dict):
+            for m in raw:
+                if int(m) != m or m < 1:
+                    raise InvalidSpec(f"ambiguity level {m!r} is not a positive integer")
+            dense = [0.0] * max((int(m) for m in raw), default=0)
+            for m, w in raw.items():
+                dense[int(m) - 1] = float(w)
+        else:
+            dense = [float(w) for w in raw]
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidSpec(f"ambiguity_weights {raw!r} needs integer levels and numeric weights") from None
     if not dense:
         raise InvalidSpec("ambiguity_weights is empty")
     if any(not np.isfinite(w) or w < 0.0 for w in dense):
@@ -42,10 +43,8 @@ def _canonical_weights(raw) -> tuple[float, ...]:
     total = sum(dense)
     if abs(total - 1.0) > _WEIGHT_TOL:
         raise InvalidSpec(f"ambiguity weights sum to {total}, not 1")
-    while dense and dense[-1] == 0.0:
+    while dense[-1] == 0.0:  # the weights sum to 1, so one is positive
         dense.pop()
-    if not dense:
-        raise InvalidSpec("ambiguity weights are all zero")
     return tuple(dense)
 
 

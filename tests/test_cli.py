@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 from protouq import (
+    DEFAULT_CORPUS_SPEC,
+    EvidenceConfig,
     RerankParams,
     SimilarityMatrix,
+    TrainConfig,
     apply_rerank,
     pearson,
     read_checkpoint,
@@ -19,7 +22,8 @@ from protouq import (
     similarity_matrix,
     uncertainty_scores,
 )
-from protouq.cli import _write_csv, run
+from protouq import cli
+from protouq.cli import _write_csv, build_parser, run
 from protouq.embed import _ROW_BLOCK
 from protouq.errors import ProtoUQError
 
@@ -94,6 +98,30 @@ class TestGenSynth:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestParserDefaults:
+    def test_defaults_are_the_library_defaults(self, monkeypatch):
+        parser = build_parser()
+
+        class Built(Exception):
+            pass
+
+        def built(spec):
+            raise Built(spec)
+
+        monkeypatch.setattr(cli, "generate_corpus", built)
+        args = parser.parse_args(["gen-synth", "--vis", "v", "--txt", "t", "--pairs", "p"])
+        assert args.weights == (0.25,) * 4
+        with pytest.raises(Built) as spec:
+            args.func(args)
+        assert spec.value.args == (DEFAULT_CORPUS_SPEC,)
+
+        args = parser.parse_args(["train", *CORPUS_ARGS, "--epochs", "1"])
+        cfg = cli._train_config(args)
+        assert cfg == TrainConfig(epochs=1, seed=0)
+        assert cfg.evidence == EvidenceConfig()
+        assert RerankParams(beta1=args.beta1, beta2=args.beta2) == RerankParams()
+
+
 class TestTrain:
     def test_history_csv(self, pipeline):
         header, rows = read_csv(pipeline["history"])
@@ -108,6 +136,16 @@ class TestTrain:
         assert ckpt.train_meta["seed"] == "5"
         assert ckpt.train_meta["n_vision"] == "40"
         assert ckpt.bank_v.k == 4 and ckpt.bank_v.d == 16
+
+    def test_one_item_gives_only_one_pair_batches(self, tmp_path, capsys):
+        # two captions, but each epoch samples one: every batch is one pair
+        corpus = ["--vis", str(tmp_path / "v"), "--txt", str(tmp_path / "t"),
+                  "--pairs", str(tmp_path / "p")]
+        assert run(["gen-synth", *corpus, "--n-items", "1", "--d", "8", "--k-true", "4"]) == 0
+        capsys.readouterr()
+        assert run(["train", *corpus, "--ckpt", str(tmp_path / "m"), "--epochs", "1"]) == 1
+        assert capsys.readouterr().err == "error: every batch in the epoch was smaller than 2\n"
+        assert not (tmp_path / "m").exists()
 
     def test_repeat_run_is_byte_identical(self, pipeline, tmp_path):
         again = tmp_path / "again.paup"
@@ -316,6 +354,32 @@ class TestAnalyze:
             "--txt", pipeline["txt"], "--pairs", pipeline["pairs"], "--labels", str(labels),
         ]) == 1
         assert capsys.readouterr().err == f"error: {labels}:42: item 0 appears more than once\n"
+
+    @pytest.mark.parametrize("m", ["-7.5", "0", "2.5", "inf", "nan"])
+    def test_labels_csv_with_an_m_that_is_not_a_level_is_an_error(
+        self, pipeline, tmp_path, capsys, m
+    ):
+        lines = Path(pipeline["labels"]).read_text().splitlines(keepends=True)
+        item, _, semantics = lines[3].split(",")
+        lines[3] = f"{item},{m},{semantics}"
+        labels = tmp_path / "labels.csv"
+        labels.write_text("".join(lines))
+        assert run([
+            "analyze", "pcc", "--ckpt", pipeline["ckpt"], *corpus_args(pipeline),
+            "--labels", str(labels),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {labels}:4: 'm' must be a whole number >= 1\n"
+
+    def test_removal_curve_counts(self, pipeline, tmp_path, capsys):
+        out_csv = tmp_path / "curve.csv"
+        assert run([
+            "analyze", "removal-curve", "--ckpt", pipeline["ckpt"], *corpus_args(pipeline),
+            "--counts", "0,3,40", "--side", "query", "--out", str(out_csv),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "side=query n_points=3 last_removed=40 " in out
+        _, rows = read_csv(out_csv)
+        assert [r[1] for r in rows] == ["0", "3", "40"]
 
     def test_removal_curve_default_fractions(self, pipeline, tmp_path, capsys):
         out_csv = tmp_path / "curve.csv"

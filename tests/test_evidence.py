@@ -140,13 +140,6 @@ class TestDirichletFromEvidence:
             assert abs(state.u - (1.0 - state.k / state.strength)) < 1e-9
             assert 0.0 <= state.u < 1.0
 
-    def test_explicit_k_accepted(self):
-        assert dirichlet_from_evidence([1.0, 2.0], k=2).k == 2
-
-    def test_wrong_k_rejected(self):
-        with pytest.raises(EmptyVector):
-            dirichlet_from_evidence([1.0, 2.0], k=3)
-
     def test_empty_rejected(self):
         with pytest.raises(EmptyVector):
             dirichlet_from_evidence([])

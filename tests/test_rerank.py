@@ -53,9 +53,10 @@ class TestApplyRerank:
     def test_zero_betas_pass_values_through_bitwise(self):
         rng = np.random.default_rng(80)
         values = rng.uniform(-1.0, 1.0, size=(6, 9))
+        values[2, 3] = -0.0
         m = SimilarityMatrix(values=values)
         out = apply_rerank(m, rng.uniform(0.0, 1.0, 6), rng.uniform(0.0, 1.0, 9), RerankParams())
-        assert np.array_equal(out.values, m.values)
+        assert out.values.tobytes() == m.values.tobytes()
 
     def test_matches_elementwise_formula(self):
         rng = np.random.default_rng(81)
@@ -366,6 +367,24 @@ def test_ranking_pass_peak_memory_is_a_few_blocks(name):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 8 * _ROW_BLOCK * n_text
+
+
+def test_zero_betas_rerank_a_stored_matrix_without_a_scratch_block():
+    # a zero beta is no factor, so the read-only blocks are ranked as they
+    # are; one scratch block would alone pass the bound
+    rng = np.random.default_rng(88)
+    n_vision, n_text = 2 * _ROW_BLOCK, 2000
+    m = SimilarityMatrix(values=rng.uniform(-1.0, 1.0, (n_vision, n_text)))
+    pairs = PairSet(pairs=np.column_stack([np.arange(n_text) % n_vision, np.arange(n_text)]))
+    u_v, u_t = rng.uniform(0.0, 1.0, n_vision), rng.uniform(0.0, 1.0, n_text)
+    tracemalloc.start()
+    try:
+        before, after = evaluate_reranked(m, u_v, u_t, pairs, RerankParams())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * _ROW_BLOCK * n_text
+    assert before == after
 
 
 PASSES = {

@@ -62,6 +62,12 @@ class TestSyntheticSpec:
             {"captions_per_item": 10**20},
             {"n_items": 1, "captions_per_item": 1, "d": 3037000500, "k_true": 3037000500,
              "ambiguity_weights": (1.0,)},
+            # levels and weights that are not numbers
+            {"ambiguity_weights": {float("nan"): 1.0}},
+            {"ambiguity_weights": {float("inf"): 1.0}},
+            {"ambiguity_weights": {"a": 1.0}},
+            {"ambiguity_weights": {None: 1.0}},
+            {"ambiguity_weights": ["x"]},
         ],
     )
     def test_bad_specs_rejected(self, overrides):

@@ -84,6 +84,10 @@ class TestInitPrototypes:
 
 
 class TestPrototypeBank:
+    def test_unknown_modality_rejected(self):
+        with pytest.raises(ModalityMismatch, match="unknown modality 'audio'"):
+            PrototypeBank(modality="audio", vectors=np.eye(2))
+
     def test_zero_row_rejected(self):
         with pytest.raises(ZeroPrototype):
             PrototypeBank(modality=VISION, vectors=np.array([[1.0, 0.0], [0.0, 0.0]]))
@@ -440,6 +444,14 @@ class TestTrain:
         txt = unit_rows(1, 4, seed=73, modality=TEXT)
         with pytest.raises(InsufficientPairs):
             train(vis, txt, PairSet(pairs=((0, 0),)), TrainConfig(epochs=1, seed=0, k=2))
+
+    def test_one_item_gives_only_one_pair_batches(self):
+        # two pairs, but an epoch takes one caption per item
+        vis = unit_rows(1, 4, seed=76, modality=VISION)
+        txt = unit_rows(2, 4, seed=77, modality=TEXT)
+        pairs = PairSet(pairs=((0, 0), (0, 1)))
+        with pytest.raises(InsufficientPairs, match="every batch in the epoch was smaller than 2"):
+            train(vis, txt, pairs, TrainConfig(epochs=1, seed=0, k=2))
 
     def test_pair_indices_validated(self):
         vis = unit_rows(3, 4, seed=74, modality=VISION)
