@@ -12,7 +12,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -69,24 +69,21 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _summary(command: str, **fields) -> None:
-    parts = [command] + [f"{k}={v}" for k, v in fields.items()]
+def _summary(command: str, **values) -> None:
+    parts = [command] + [f"{k}={v}" for k, v in values.items()]
     print(" ".join(parts))
+
+
+def _from_flags(cls, args, **given):
+    """cls from the flag whose dest names each field; given fields pass as is."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if f.name not in given}, **given)
 
 
 # ---- subcommand handlers ----
 
 
 def _cmd_gen_synth(args) -> int:
-    spec = SyntheticSpec(
-        n_items=args.n_items,
-        d=args.d,
-        k_true=args.k_true,
-        ambiguity_weights=args.weights,
-        noise_sigma=args.noise_sigma,
-        captions_per_item=args.captions_per_item,
-        seed=args.seed,
-    )
+    spec = _from_flags(SyntheticSpec, args)
     vis, txt, pairs, labels = generate_corpus(spec)
     write_embeddings(vis, args.vis)
     write_embeddings(txt, args.txt)
@@ -115,18 +112,7 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        epochs=args.epochs,
-        seed=args.seed,
-        k=args.k,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        lambda_div=args.lambda_div,
-        evidence=EvidenceConfig(
-            kind=args.evidence, gamma=args.gamma, theta=args.theta, tau=args.tau
-        ),
-        h_mapping=args.h_mapping,
-    )
+    return _from_flags(TrainConfig, args, evidence=_from_flags(EvidenceConfig, args))
 
 
 def _corpus(args):
@@ -141,15 +127,9 @@ def _cmd_train(args) -> int:
         bank_v=bank_v,
         bank_t=bank_t,
         evidence=cfg.evidence,
-        rerank=RerankParams(beta1=args.beta1, beta2=args.beta2),
+        rerank=_from_flags(RerankParams, args),
         train_meta={
-            "epochs": str(cfg.epochs),
-            "seed": str(cfg.seed),
-            "k": str(cfg.k),
-            "batch_size": str(cfg.batch_size),
-            "learning_rate": repr(cfg.learning_rate),
-            "lambda_div": repr(cfg.lambda_div),
-            "h_mapping": cfg.h_mapping,
+            **{f.name: str(getattr(cfg, f.name)) for f in fields(cfg) if f.name != "evidence"},
             "n_vision": str(vis.n),
             "n_text": str(txt.n),
         },
@@ -428,7 +408,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=TrainConfig.k, help="prototypes per bank")
     p.add_argument("--epochs", type=int, required=True)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float,
+                   default=TrainConfig.learning_rate)
     p.add_argument("--lambda-div", type=float, default=TrainConfig.lambda_div)
     p.add_argument("--h-mapping", choices=sorted(H_MAPPINGS), default=TrainConfig.h_mapping)
     p.add_argument("--beta1", type=float, default=RerankParams.beta1, help="stored rerank weight")
@@ -436,7 +417,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_evidence_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--evidence", choices=list(EVIDENCE_KINDS), default=EvidenceConfig.kind)
+    p.add_argument("--evidence", dest="kind", choices=list(EVIDENCE_KINDS),
+                   default=EvidenceConfig.kind)
     p.add_argument("--tau", type=float, default=EvidenceConfig.tau)
     p.add_argument("--gamma", type=float, default=EvidenceConfig.gamma)
     p.add_argument("--theta", type=float, default=EvidenceConfig.theta)
@@ -458,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-items", type=int, default=spec.n_items)
     p.add_argument("--d", type=int, default=spec.d)
     p.add_argument("--k-true", type=int, default=spec.k_true)
-    p.add_argument("--weights", type=_comma_list(float), default=spec.ambiguity_weights,
+    p.add_argument("--weights", dest="ambiguity_weights", metavar="WEIGHTS",
+                   type=_comma_list(float), default=spec.ambiguity_weights,
                    help="comma weights for m=1,2,...")
     p.add_argument("--noise-sigma", type=float, default=spec.noise_sigma)
     p.add_argument("--captions-per-item", type=int, default=spec.captions_per_item)

@@ -18,34 +18,27 @@ from .errors import InvalidSpec
 _WEIGHT_TOL = 1e-9
 
 
-def _canonical_weights(raw) -> tuple[float, ...]:
-    """Weights as a dense tuple indexed by m - 1, trailing zeros trimmed.
-
-    Accepts either a mapping {m: weight} or a sequence whose entry i is the
-    weight of m = i + 1.
-    """
+def _positive_weights(raw) -> dict[int, float]:
+    """Every weight checked; the positive ones as {m: weight}.  Builds nothing
+    as long as the largest level, which SyntheticSpec checks against k_true."""
     try:
         if isinstance(raw, dict):
             for m in raw:
                 if int(m) != m or m < 1:
                     raise InvalidSpec(f"ambiguity level {m!r} is not a positive integer")
-            dense = [0.0] * max((int(m) for m in raw), default=0)
-            for m, w in raw.items():
-                dense[int(m) - 1] = float(w)
+            weights = {int(m): float(w) for m, w in raw.items()}
         else:
-            dense = [float(w) for w in raw]
+            weights = {m: float(w) for m, w in enumerate(raw, 1)}
     except (TypeError, ValueError, OverflowError):
         raise InvalidSpec(f"ambiguity_weights {raw!r} needs integer levels and numeric weights") from None
-    if not dense:
+    if not weights:
         raise InvalidSpec("ambiguity_weights is empty")
-    if any(not np.isfinite(w) or w < 0.0 for w in dense):
+    if any(not np.isfinite(w) or w < 0.0 for w in weights.values()):
         raise InvalidSpec("ambiguity weights must be finite and nonnegative")
-    total = sum(dense)
+    total = sum(weights.values())
     if abs(total - 1.0) > _WEIGHT_TOL:
         raise InvalidSpec(f"ambiguity weights sum to {total}, not 1")
-    while dense[-1] == 0.0:  # the weights sum to 1, so one is positive
-        dense.pop()
-    return tuple(dense)
+    return {m: w for m, w in weights.items() if w > 0.0}
 
 
 @dataclass(frozen=True)
@@ -62,19 +55,18 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "ambiguity_weights", _canonical_weights(self.ambiguity_weights)
-        )
+        weights = _positive_weights(self.ambiguity_weights)
         if self.n_items < 1:
             raise InvalidSpec(f"n_items must be >= 1, got {self.n_items}")
         if self.d < 2:
             raise InvalidSpec(f"d must be >= 2, got {self.d}")
         if not 1 <= self.k_true <= self.d:
             raise InvalidSpec(f"k_true must be in [1, d={self.d}], got {self.k_true}")
-        if self.m_max > self.k_true:
-            raise InvalidSpec(
-                f"largest ambiguity level {self.m_max} exceeds k_true={self.k_true}"
-            )
+        m_max = max(weights)  # the weights sum to 1, so one is positive
+        if m_max > self.k_true:
+            raise InvalidSpec(f"largest ambiguity level {m_max} exceeds k_true={self.k_true}")
+        dense = tuple(weights.get(m, 0.0) for m in range(1, m_max + 1))
+        object.__setattr__(self, "ambiguity_weights", dense)
         if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0.0:
             raise InvalidSpec(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.captions_per_item < 1:

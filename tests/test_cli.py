@@ -4,6 +4,7 @@ import csv
 import io
 import struct
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from protouq import (
     EvidenceConfig,
     RerankParams,
     SimilarityMatrix,
+    SyntheticSpec,
     TrainConfig,
     apply_rerank,
     pearson,
@@ -110,7 +112,7 @@ class TestParserDefaults:
 
         monkeypatch.setattr(cli, "generate_corpus", built)
         args = parser.parse_args(["gen-synth", "--vis", "v", "--txt", "t", "--pairs", "p"])
-        assert args.weights == (0.25,) * 4
+        assert args.ambiguity_weights == (0.25,) * 4
         with pytest.raises(Built) as spec:
             args.func(args)
         assert spec.value.args == (DEFAULT_CORPUS_SPEC,)
@@ -120,6 +122,71 @@ class TestParserDefaults:
         assert cfg == TrainConfig(epochs=1, seed=0)
         assert cfg.evidence == EvidenceConfig()
         assert RerankParams(beta1=args.beta1, beta2=args.beta2) == RerankParams()
+
+    def test_flags_off_their_defaults_reach_the_library(self, pipeline, tmp_path, monkeypatch):
+        spec = SyntheticSpec(n_items=5, d=16, k_true=4, ambiguity_weights=(0.5, 0.5),
+                             noise_sigma=0.1, captions_per_item=3, seed=5)
+        cfg = TrainConfig(
+            epochs=2, seed=3, k=4, batch_size=32, learning_rate=0.05, lambda_div=0.5,
+            evidence=EvidenceConfig(kind="softplus", gamma=2.0, theta=10.0, tau=3.0),
+            h_mapping="affine",
+        )
+        params = RerankParams(beta1=0.5, beta2=0.25)
+        defaults = (DEFAULT_CORPUS_SPEC, TrainConfig(epochs=1, seed=0), EvidenceConfig(),
+                    RerankParams())
+        for off, default in zip((spec, cfg, cfg.evidence, params), defaults):
+            assert all(getattr(off, f.name) != getattr(default, f.name) for f in fields(off))
+
+        class Built(Exception):
+            pass
+
+        def built(spec):
+            raise Built(spec)
+
+        monkeypatch.setattr(cli, "generate_corpus", built)
+        with pytest.raises(Built) as got:
+            run(["gen-synth", "--vis", "v", "--txt", "t", "--pairs", "p", "--n-items", "5",
+                 "--d", "16", "--k-true", "4", "--weights", "0.5,0.5", "--noise-sigma", "0.1",
+                 "--captions-per-item", "3", "--seed", "5"])
+        assert got.value.args == (spec,)
+
+        trained, real_train = [], cli.train
+
+        def recording_train(*args):
+            trained.append(args[-1])
+            return real_train(*args)
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        ckpt_path = tmp_path / "off.paup"
+        assert run([
+            "train", "--vis", pipeline["vis"], "--txt", pipeline["txt"],
+            "--pairs", pipeline["pairs"], "--ckpt", str(ckpt_path), "--epochs", "2",
+            "--seed", "3", "--k", "4", "--batch-size", "32", "--lr", "0.05",
+            "--lambda-div", "0.5", "--h-mapping", "affine", "--beta1", "0.5", "--beta2", "0.25",
+            "--evidence", "softplus", "--gamma", "2", "--theta", "10", "--tau", "3",
+        ]) == 0
+        assert trained == [cfg]
+        ckpt = read_checkpoint(ckpt_path)
+        assert (ckpt.evidence, ckpt.rerank) == (cfg.evidence, params)
+        assert ckpt.train_meta == {
+            "epochs": "2", "seed": "3", "k": "4", "batch_size": "32",
+            "learning_rate": repr(0.05), "lambda_div": repr(0.5), "h_mapping": "affine",
+            "n_vision": "40", "n_text": "80",
+        }
+
+    @pytest.mark.parametrize(
+        "command, shown",
+        [
+            ("gen-synth", ["--weights WEIGHTS"]),
+            ("train", ["--lr LR", "--evidence {relu,softplus,exponential}"]),
+        ],
+    )
+    def test_help_shows_the_flag_spellings(self, command, shown, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert [text for text in shown if text not in out] == []
 
 
 class TestTrain:
@@ -135,6 +202,11 @@ class TestTrain:
         assert ckpt.train_meta["epochs"] == "3"
         assert ckpt.train_meta["seed"] == "5"
         assert ckpt.train_meta["n_vision"] == "40"
+        assert ckpt.train_meta == {
+            "epochs": "3", "seed": "5", "k": "4", "batch_size": "16",
+            "learning_rate": repr(0.1), "lambda_div": repr(1.0), "h_mapping": "clamp",
+            "n_vision": "40", "n_text": "80",
+        }
         assert ckpt.bank_v.k == 4 and ckpt.bank_v.d == 16
 
     def test_one_item_gives_only_one_pair_batches(self, tmp_path, capsys):

@@ -40,6 +40,21 @@ class TestSyntheticSpec:
         spec = SyntheticSpec(n_items=4, d=8, k_true=4, ambiguity_weights=(0.5, 0.5, 0.0))
         assert spec.m_max == 2
 
+    def test_zero_weight_level_above_k_true_is_dropped(self):
+        spec = SyntheticSpec(n_items=4, d=8, k_true=4, ambiguity_weights={10**5: 0.0, 1: 1.0})
+        assert spec.ambiguity_weights == (1.0,)
+
+    @pytest.mark.parametrize("level", [10**7, 10**12, 10**19])
+    def test_huge_level_rejected_before_anything_its_size_is_built(self, level):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidSpec, match=f"level {level} exceeds k_true=4"):
+                SyntheticSpec(n_items=4, d=8, k_true=4, ambiguity_weights={level: 1.0})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     @pytest.mark.parametrize(
         "overrides",
         [
