@@ -30,12 +30,12 @@ from .fileio import (
     Checkpoint,
     _atomic_write,
     _text_lines,
+    _write_embedding_rows,
     read_checkpoint,
     read_embeddings,
     read_embeddings_csv,
     read_pairs,
     write_checkpoint,
-    write_embeddings,
     write_pairs,
 )
 from .metrics import (
@@ -51,7 +51,7 @@ from .metrics import (
     softmax,
 )
 from .rerank import DEFAULT_BETA_GRID, _reranked_rows, evaluate_reranked, fit_betas
-from .synth import DEFAULT_CORPUS_SPEC, SyntheticSpec, generate_corpus
+from .synth import DEFAULT_CORPUS_SPEC, SyntheticSpec, _corpus_blocks
 from .train import H_MAPPINGS, TrainConfig, map_targets, train
 
 
@@ -84,9 +84,13 @@ def _from_flags(cls, args, **given):
 
 def _cmd_gen_synth(args) -> int:
     spec = _from_flags(SyntheticSpec, args)
-    vis, txt, pairs, labels = generate_corpus(spec)
-    write_embeddings(vis, args.vis)
-    write_embeddings(txt, args.txt)
+    vis_blocks, txt_blocks, pairs, labels = _corpus_blocks(spec)
+    n_captions = spec.n_items * spec.captions_per_item
+    # Each block is written as it is drawn, and neither file replaces the
+    # one at its path until every block of both is written.
+    with _atomic_write(args.vis) as vis_fh, _atomic_write(args.txt) as txt_fh:
+        _write_embedding_rows(vis_fh, VISION, spec.n_items, spec.d, vis_blocks)
+        _write_embedding_rows(txt_fh, TEXT, n_captions, spec.d, txt_blocks)
     write_pairs(pairs, args.pairs)
     if args.labels:
         _write_csv(
@@ -100,7 +104,7 @@ def _cmd_gen_synth(args) -> int:
     _summary(
         "gen-synth",
         n_items=spec.n_items,
-        n_captions=txt.n,
+        n_captions=n_captions,
         d=spec.d,
         k_true=spec.k_true,
         seed=spec.seed,

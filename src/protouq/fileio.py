@@ -63,6 +63,7 @@ _RERANK_BLOCK = struct.Struct("<dd")
 _META_LEN = struct.Struct("<I")
 
 _PIPE_CHUNK = 1 << 20
+_PAIR_CHUNK = 1 << 16
 
 
 @contextlib.contextmanager
@@ -150,11 +151,16 @@ def _source(fh, path, count, pos: int = 0) -> _Cursor:
     return _Cursor(io.BytesIO(blob), pos + len(blob), path, pos)
 
 
-def _write_rows(fh, matrix: np.ndarray) -> None:
-    """The one encoder of float32 rows: matrix's rows as little-endian
-    float32, converted one _ROW_BLOCK at a time."""
-    for start in range(0, matrix.shape[0], _ROW_BLOCK):
-        fh.write(matrix[start:start + _ROW_BLOCK].astype("<f4"))
+def _row_blocks(matrix: np.ndarray):
+    """matrix's rows, _ROW_BLOCK of them at a time, as views."""
+    return (matrix[start:start + _ROW_BLOCK] for start in range(0, matrix.shape[0], _ROW_BLOCK))
+
+
+def _write_rows(fh, blocks) -> None:
+    """The one encoder of float32 rows: each block of rows, as it comes,
+    as little-endian float32."""
+    for block in blocks:
+        fh.write(block.astype("<f4"))
 
 
 def _read_text(path) -> str:
@@ -183,14 +189,22 @@ def _check_magic_version(cur: _Cursor, expected_magic: bytes) -> None:
 # ---- embeddings ----
 
 
+def _write_embedding_rows(fh, modality: str, n: int, d: int, blocks) -> None:
+    """A "PAUE" file into an open fh: the header of n rows of width d, then
+    the rows of blocks, which must hold that many, as float32."""
+    fh.write(
+        _MAGIC_VERSION.pack(EMBEDDINGS_MAGIC, FORMAT_VERSION)
+        + _EMBED_HEADER.pack(_MODALITY_CODES[modality], n, d)
+    )
+    _write_rows(fh, blocks)
+
+
 def write_embeddings(embeddings: EmbeddingSet, path) -> None:
     """Write a "PAUE" file: the header, then the rows as float32."""
-    header = _MAGIC_VERSION.pack(EMBEDDINGS_MAGIC, FORMAT_VERSION) + _EMBED_HEADER.pack(
-        _MODALITY_CODES[embeddings.modality], embeddings.n, embeddings.d
-    )
     with _atomic_write(path) as fh:
-        fh.write(header)
-        _write_rows(fh, embeddings.vectors)
+        _write_embedding_rows(
+            fh, embeddings.modality, embeddings.n, embeddings.d, _row_blocks(embeddings.vectors)
+        )
 
 
 def read_embeddings(path) -> EmbeddingSet:
@@ -257,30 +271,46 @@ def write_pairs(pairs: PairSet, path) -> None:
         fh.write(body.encode("utf-8"))
 
 
-def read_pairs(path) -> PairSet:
-    """One "v<TAB>t" pair of integers per line; blank lines are skipped.
-
-    The text is split once and parsed into an int64 array in one call.
-    Only when that fails is it read line by line, to name the first line
-    that is not two tab-separated integers in a ParseError; if every line
-    is, an index overflowed int64.
-    """
-    text = _read_text(path)
-    body = "\n".join(filter(None, text.split("\n")))
-    # Well formed means the separators alternate tab, newline, ..., tab:
-    # exactly one tab on every nonblank line.
-    raw = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
-    separators = raw[(raw == ord("\t")) | (raw == ord("\n"))]
-    well_formed = (
-        separators.size % 2 == 1
-        and (separators[0::2] == ord("\t")).all()
-        and (separators[1::2] == ord("\n")).all()
-    )
-    try:
+def _pair_values(text: str) -> np.ndarray:
+    """The integers of a pair file's text, in order, as one int64 array;
+    ValueError or OverflowError if a nonblank line is not two int64
+    integers separated by one tab.  The text is parsed in chunks of whole
+    lines, each the lines that end past another _PAIR_CHUNK characters, so
+    at most one chunk's fields are held as strings: a chunk is split once
+    and parsed in one call."""
+    chunks = []
+    start = 0
+    while True:
+        end = text.find("\n", start + _PAIR_CHUNK) + 1 or len(text)
+        body = "\n".join(filter(None, text[start:end].split("\n")))
+        # Well formed means the separators alternate tab, newline, ..., tab:
+        # exactly one tab on every nonblank line.
+        raw = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
+        separators = raw[(raw == ord("\t")) | (raw == ord("\n"))]
+        well_formed = (
+            separators.size % 2 == 1
+            and (separators[0::2] == ord("\t")).all()
+            and (separators[1::2] == ord("\n")).all()
+        )
         if body and not well_formed:
             raise ValueError
         fields = body.replace("\t", "\n").split("\n") if body else []
-        values = np.array(fields, dtype=np.int64)
+        chunks.append(np.array(fields, dtype=np.int64))
+        start = end
+        if start == len(text):
+            return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
+def read_pairs(path) -> PairSet:
+    """One "v<TAB>t" pair of integers per line; blank lines are skipped.
+
+    The text is parsed by _pair_values.  Only when that fails is it read
+    line by line, to name the first line that is not two tab-separated
+    integers in a ParseError; if every line is, an index overflowed int64.
+    """
+    text = _read_text(path)
+    try:
+        values = _pair_values(text)
     except (ValueError, OverflowError):
         for lineno, line in enumerate(text.split("\n"), start=1):
             try:
@@ -340,7 +370,7 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
         fh.write(_MAGIC_VERSION.pack(CHECKPOINT_MAGIC, FORMAT_VERSION))
         for bank in (ckpt.bank_v, ckpt.bank_t):
             fh.write(_BANK_HEADER.pack(bank.k, bank.d))
-            _write_rows(fh, bank.vectors)
+            _write_rows(fh, _row_blocks(bank.vectors))
         fh.write(
             _EVIDENCE_BLOCK.pack(_KIND_CODES[ev.kind], ev.gamma, ev.theta, ev.tau)
             + _RERANK_BLOCK.pack(ckpt.rerank.beta1, ckpt.rerank.beta2)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import TEXT, VISION, EmbeddingSet, PairSet, _normalized
+from .embed import _ROW_BLOCK, TEXT, VISION, EmbeddingSet, PairSet, _normalized
 from .errors import InvalidSpec
 
 _WEIGHT_TOL = 1e-9
@@ -115,20 +115,18 @@ def latent_directions(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return np.ascontiguousarray((q * signs).T)
 
 
-def generate_corpus(
-    spec: SyntheticSpec,
-) -> tuple[EmbeddingSet, EmbeddingSet, PairSet, AmbiguityLabels]:
-    """Build one corpus: vision set, text set, ground-truth pairs, labels.
+def _corpus_blocks(spec: SyntheticSpec):
+    """spec's corpus as (vision blocks, text blocks, pairs, labels).
 
-    Draw order is fixed (directions, ambiguity levels, per-item direction
-    sets, vision noise, text noise) so output is a pure function of spec.
-    Every caption of an item reuses the item's direction sum with its own
-    noise, so captions agree on semantics but are not clones.
-
-    Each set is its own noise draw, scaled, shifted by the item directions
-    and normalized in place: beside the two float64 sets, the corpus
-    allocates only the (n_items, d) direction sums, the pairs and
-    row-block temporaries.
+    The draw order is fixed (directions, ambiguity levels, per-item
+    direction sets, vision noise, text noise), so output is a pure function
+    of spec.  A block is up to _ROW_BLOCK rows of a set, normalized and
+    read-only, and its noise is drawn when it is asked for, so use up the
+    vision blocks before the text blocks.  Drawing a set block by block
+    draws the stream one call would, and every step is row by row, so the
+    blocks hold the bits of whole sets.  Every caption of an item reuses
+    the item's direction sum with its own noise, so captions agree on
+    semantics but are not clones.
     """
     rng = np.random.default_rng(spec.seed)
     directions = latent_directions(spec.k_true, spec.d, rng)
@@ -143,38 +141,49 @@ def generate_corpus(
         slots[i, :m] = chosen
         chosen_sets.append(chosen)
 
-    # Each item's direction sum, added slot by slot in the order that
-    # sum(axis=0) of its chosen rows adds them, so with the same bits.  A
-    # slot's rows are gathered into the buffer that the vision noise is
-    # drawn into next, so the sums allocate no (n_items, d) temporary
-    # ("clip" because every index is in range; "raise" would copy).
-    base = directions[slots[:, 0]]
-    vis_raw = np.empty_like(base)
-    for j in range(1, spec.m_max):
-        np.take(directions, slots[:, j], axis=0, out=vis_raw, mode="clip")
-        np.add(base, vis_raw, out=base, where=(ms > j)[:, None])
-    del slots
+    def blocks(n_rows, cpi, modality):
+        # Row r belongs to item r // cpi.  Its direction sum is added slot
+        # by slot in the order that sum(axis=0) of the item's chosen rows
+        # adds them, so with the same bits, and base + sigma * noise rounds
+        # the same in either operand order.
+        for start in range(0, n_rows, _ROW_BLOCK):
+            raw = rng.standard_normal((min(_ROW_BLOCK, n_rows - start), spec.d))
+            raw *= spec.noise_sigma
+            items = np.arange(start, start + len(raw)) // cpi
+            base = directions[slots[items, 0]]
+            for j in range(1, spec.m_max):
+                np.add(base, directions[slots[items, j]], out=base, where=(ms[items] > j)[:, None])
+            raw += base
+            yield _normalized(raw, modality).vectors
 
-    # base + sigma * noise in place: a product or sum rounds the same in
-    # either operand order.  Captions of item i are rows i * cpi, ...,
-    # i * cpi + cpi - 1, so base adds through an (n_items, cpi, d) view.
     cpi = spec.captions_per_item
-    rng.standard_normal(out=vis_raw)
-    vis_raw *= spec.noise_sigma
-    vis_raw += base
-    txt_raw = rng.standard_normal((spec.n_items * cpi, spec.d))
-    txt_raw *= spec.noise_sigma
-    per_item = txt_raw.reshape(spec.n_items, cpi, spec.d)
-    per_item += base[:, None, :]
-
     captions = np.arange(spec.n_items * cpi)
-    pairs = PairSet(pairs=np.stack([captions // cpi, captions], axis=1))
-    labels = AmbiguityLabels(
-        counts=tuple(int(m) for m in ms), semantic_sets=tuple(chosen_sets)
-    )
     return (
-        _normalized(vis_raw, VISION),
-        _normalized(txt_raw, TEXT),
-        pairs,
-        labels,
+        blocks(spec.n_items, 1, VISION),
+        blocks(spec.n_items * cpi, cpi, TEXT),
+        PairSet(pairs=np.stack([captions // cpi, captions], axis=1)),
+        AmbiguityLabels(counts=tuple(int(m) for m in ms), semantic_sets=tuple(chosen_sets)),
     )
+
+
+def generate_corpus(
+    spec: SyntheticSpec,
+) -> tuple[EmbeddingSet, EmbeddingSet, PairSet, AmbiguityLabels]:
+    """Build one corpus: vision set, text set, ground-truth pairs, labels.
+
+    The sets are _corpus_blocks's blocks copied into place, with the bits
+    gen-synth writes.  Beside the two float64 sets, the corpus allocates
+    only the (n_items, m_max) direction indices, the pairs, the labels and
+    row-block temporaries; no (n_items, d) array is drawn whole.
+    """
+    vis_blocks, txt_blocks, pairs, labels = _corpus_blocks(spec)
+    sets = []
+    for modality, blocks, n_rows in (
+        (VISION, vis_blocks, spec.n_items),
+        (TEXT, txt_blocks, spec.n_items * spec.captions_per_item),
+    ):
+        vectors = np.empty((n_rows, spec.d))
+        for start, block in zip(range(0, n_rows, _ROW_BLOCK), blocks):
+            vectors[start:start + _ROW_BLOCK] = block
+        sets.append(EmbeddingSet(modality=modality, vectors=vectors))
+    return sets[0], sets[1], pairs, labels

@@ -18,15 +18,18 @@ from protouq import (
     SyntheticSpec,
     TrainConfig,
     apply_rerank,
+    generate_corpus,
     pearson,
     read_checkpoint,
     read_embeddings,
     similarity_matrix,
     uncertainty_scores,
+    write_embeddings,
+    write_pairs,
 )
-from protouq import cli
+from protouq import cli, synth
 from protouq.cli import _write_csv, build_parser, run
-from protouq.embed import _ROW_BLOCK
+from protouq.embed import _ROW_BLOCK, TEXT
 from protouq.errors import ProtoUQError
 
 
@@ -99,6 +102,63 @@ class TestGenSynth:
         ]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("n_items, cpi", [(300, 2), (100, 3), (1, 2)],
+                             ids=["partial-last-block", "3-captions", "one-item"])
+    def test_files_are_the_bytes_of_the_generated_corpus(self, tmp_path, capsys, n_items, cpi):
+        spec = SyntheticSpec(n_items=n_items, d=8, k_true=4, noise_sigma=0.2,
+                             captions_per_item=cpi, seed=9)
+        vis, txt, pairs, _ = generate_corpus(spec)
+        write_embeddings(vis, tmp_path / "want_v.paue")
+        write_embeddings(txt, tmp_path / "want_t.paue")
+        write_pairs(pairs, tmp_path / "want_p.tsv")
+        assert run(["gen-synth", *synth_args(tmp_path), "--n-items", str(n_items), "--d", "8",
+                    "--k-true", "4", "--noise-sigma", "0.2", "--captions-per-item", str(cpi),
+                    "--seed", "9"]) == 0
+        assert f"n_captions={n_items * cpi} " in capsys.readouterr().out
+        for got, want in (("v.paue", "want_v.paue"), ("t.paue", "want_t.paue"),
+                          ("p.tsv", "want_p.tsv")):
+            assert (tmp_path / got).read_bytes() == (tmp_path / want).read_bytes()
+
+    def test_peak_memory_is_below_half_a_text_set(self, tmp_path, capsys):
+        n_items, cpi, d = 4000, 5, 64
+        tracemalloc.start()
+        try:
+            assert run(["gen-synth", *synth_args(tmp_path), "--n-items", str(n_items),
+                        "--captions-per-item", str(cpi), "--d", str(d), "--seed", "1"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_items * cpi * d / 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fails", ["first-text-block", "noise-overflow"])
+    def test_failure_leaves_both_old_files(self, tmp_path, capsys, monkeypatch, fails):
+        base = ["gen-synth", *synth_args(tmp_path), "--n-items", "600", "--d", "8"]
+        assert run([*base, "--seed", "1"]) == 0
+        old = {name: (tmp_path / name).read_bytes() for name in ("v.paue", "t.paue")}
+        flags = ["--seed", "2"]
+        if fails == "noise-overflow":
+            flags += ["--noise-sigma", "1e308"]
+        else:
+            real = synth._normalized
+
+            def normalized(raw, modality):
+                if modality == TEXT:
+                    raise ProtoUQError("text block failed")
+                return real(raw, modality)
+
+            monkeypatch.setattr(synth, "_normalized", normalized)
+        capsys.readouterr()
+        assert run([*base, *flags]) == 1
+        assert_one_line_error(capsys)
+        assert {name: (tmp_path / name).read_bytes() for name in old} == old
+        assert not list(tmp_path.glob("*.tmp.*"))
+
+
+def synth_args(root):
+    return ["--vis", str(root / "v.paue"), "--txt", str(root / "t.paue"),
+            "--pairs", str(root / "p.tsv")]
+
 
 class TestParserDefaults:
     def test_defaults_are_the_library_defaults(self, monkeypatch):
@@ -110,7 +170,7 @@ class TestParserDefaults:
         def built(spec):
             raise Built(spec)
 
-        monkeypatch.setattr(cli, "generate_corpus", built)
+        monkeypatch.setattr(cli, "_corpus_blocks", built)
         args = parser.parse_args(["gen-synth", "--vis", "v", "--txt", "t", "--pairs", "p"])
         assert args.ambiguity_weights == (0.25,) * 4
         with pytest.raises(Built) as spec:
@@ -143,7 +203,7 @@ class TestParserDefaults:
         def built(spec):
             raise Built(spec)
 
-        monkeypatch.setattr(cli, "generate_corpus", built)
+        monkeypatch.setattr(cli, "_corpus_blocks", built)
         with pytest.raises(Built) as got:
             run(["gen-synth", "--vis", "v", "--txt", "t", "--pairs", "p", "--n-items", "5",
                  "--d", "16", "--k-true", "4", "--weights", "0.5,0.5", "--noise-sigma", "0.1",
@@ -245,6 +305,16 @@ class TestScore:
         assert sum(r[0] == "vision" for r in rows) == 40
         assert sum(r[0] == "text" for r in rows) == 80
         assert all(0.0 <= float(r[2]) < 1.0 for r in rows)
+
+    def test_summary_line_prints_mean_u_at_6_decimals(self, pipeline, capsys):
+        assert run(["score", "--ckpt", pipeline["ckpt"], "--vis", pipeline["vis"],
+                    "--txt", pipeline["txt"]]) == 0
+        ckpt = read_checkpoint(pipeline["ckpt"])
+        u_v = uncertainty_scores(read_embeddings(pipeline["vis"]), ckpt.bank_t, ckpt.evidence)
+        u_t = uncertainty_scores(read_embeddings(pipeline["txt"]), ckpt.bank_v, ckpt.evidence)
+        assert capsys.readouterr().out == (
+            f"score n_scored=120 mean_u_vision={u_v.mean():.6f} mean_u_text={u_t.mean():.6f}\n"
+        )
 
     def test_csv_embeddings_accepted(self, pipeline, tmp_path, capsys):
         vis = read_embeddings(pipeline["vis"])

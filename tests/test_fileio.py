@@ -4,6 +4,7 @@ import os
 import struct
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from protouq import (
     write_embeddings,
     write_pairs,
 )
+from protouq import fileio
 from protouq.embed import _ROW_BLOCK
 from protouq.errors import (
     BadMagic,
@@ -435,6 +437,49 @@ class TestPairsIO:
             assert str(got.value) == str(exc)
         else:
             assert read_pairs(path).pairs.tolist() == want.pairs.tolist()
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.text(alphabet="019\t\n\r +x", max_size=60), st.integers(1, 8))
+    def test_chunks_of_a_few_characters_match_the_reference(self, tmp_path_factory, body, chunk):
+        path = tmp_path_factory.mktemp("pairs") / "p.tsv"
+        path.write_bytes(body.encode("utf-8"))
+        with mock.patch.object(fileio, "_PAIR_CHUNK", chunk):
+            try:
+                want = reference_read_pairs(path)
+            except (ParseError, IndexOutOfRange, DuplicatePair) as exc:
+                with pytest.raises(type(exc)) as got:
+                    read_pairs(path)
+                assert str(got.value) == str(exc)
+            else:
+                assert read_pairs(path).pairs.tolist() == want.pairs.tolist()
+
+    @pytest.mark.parametrize("chunk", [1, 6])
+    def test_bad_line_in_a_later_chunk_than_an_overflow(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(fileio, "_PAIR_CHUNK", chunk)
+        path = tmp_path / "p.tsv"
+        path.write_bytes(b"0\t0\n99999999999999999999\t1\n\n2\t2\r3\t\r")
+        with pytest.raises(ParseError) as exc:
+            read_pairs(path)
+        assert str(exc.value) == f"{path}:5: expected 'v<TAB>t' integers, got '3\\t'"
+        path.write_bytes(b"0\t0\n2\t2\n99999999999999999999\t1\n")
+        with pytest.raises(IndexOutOfRange, match="int64"):
+            read_pairs(path)
+
+    def test_parse_peak_memory_is_a_chunk_not_a_string_per_index(self, tmp_path):
+        n = 50_000
+        path = tmp_path / "p.tsv"
+        write_pairs(PairSet(pairs=np.stack([np.arange(n) // 5, np.arange(n)], axis=1)), path)
+        read_pairs(path)
+        tracemalloc.start()
+        try:
+            pairs = read_pairs(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == n
+        # The text, the int64 rows, PairSet's copy and its sort; one Python
+        # string per index (50 bytes or more each) would be 5 MB alone.
+        assert peak < 8 * path.stat().st_size
 
 
 def reference_read_pairs(path):

@@ -225,6 +225,11 @@ class TestPearson:
         x = np.array([1.0, 3.0, 2.0, 5.0])
         assert pearson(x, -x) == -1.0
 
+    def test_rounding_past_one_is_clamped(self):
+        # Unclamped, the ratio for this exact linear pair rounds to 1 + 2**-52.
+        x = np.array([0.21, 0.36])
+        assert pearson(x, 3.0 * x + 0.1) == 1.0
+
     def test_positive_affine_invariance(self):
         rng = np.random.default_rng(63)
         x = rng.standard_normal(20)
@@ -495,6 +500,12 @@ class TestSoftmax:
     def test_shift_invariance(self):
         logits = np.array([0.3, -1.2, 2.5])
         assert np.allclose(softmax(logits), softmax(logits + 100.0), atol=1e-12)
+
+    def test_large_logits_are_shifted_before_exp(self):
+        # exp(1000) overflows; shifted by the max, these are the logits [-1, 0].
+        out = softmax([1000.0, 1001.0])
+        assert np.isfinite(out).all()
+        assert out.tolist() == softmax([0.0, 1.0]).tolist()
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyVector):
