@@ -8,6 +8,8 @@ matrix M has vision on rows and text on columns everywhere.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,26 @@ _NORM_EPS = 1e-12
 _UNIT_TOL = 1e-6
 
 
+def _integer(value, name: str, error, low, message=None, high=math.inf) -> int:
+    """value as an int in [low, high], else error: the one rule for counts, sizes,
+    seeds and indices.  operator.index passes Python and NumPy integers and refuses
+    floats, whole ones too; message replaces "NAME must be >= LOW" ("unsigned" at 0)."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if not low <= index <= high:
+        raise error(message or f"{name} must be {f'>= {low}' if low else 'unsigned'}, got {value}")
+    return index
+
+
+def _freeze(obj, name: str, array: np.ndarray) -> None:
+    """Set frozen dataclass obj's field name to array, C-contiguous and read-only."""
+    array = np.ascontiguousarray(array)
+    array.setflags(write=False)
+    object.__setattr__(obj, name, array)
+
+
 def _as_float_matrix(matrix) -> np.ndarray:
     out = np.asarray(matrix, dtype=np.float64)
     if out.ndim != 2:
@@ -47,6 +69,19 @@ def _as_float_matrix(matrix) -> np.ndarray:
 # differently at other row counts, so another size can move a similarity
 # by one ulp, and with it an exact tie and the ranks it sets.
 _ROW_BLOCK = 256
+
+
+def _row_blocks(matrix: np.ndarray):
+    """(start, view of rows start, ...) per _ROW_BLOCK rows: the one walk over an array."""
+    return ((start, matrix[start:start + _ROW_BLOCK]) for start in range(0, len(matrix), _ROW_BLOCK))
+
+
+def _stacked(shape, blocks) -> np.ndarray:
+    """The array whose rows a block source's (start, block) pairs hold: the one stacker."""
+    values = np.empty(shape)
+    for start, block in blocks:
+        values[start:start + len(block)] = block
+    return values
 
 
 def _checked_rows(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -65,9 +100,8 @@ def _checked_rows(matrix) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionTooSmall(f"row dimension must be >= 2, got {out.shape[1]}")
     norms = np.empty(out.shape[0])
     with np.errstate(over="ignore"):
-        for start in range(0, out.shape[0], _ROW_BLOCK):
-            rows = out[start:start + _ROW_BLOCK]
-            np.add.reduce(rows * rows, axis=1, out=norms[start:start + _ROW_BLOCK])
+        for start, rows in _row_blocks(out):
+            np.add.reduce(rows * rows, axis=1, out=norms[start:start + len(rows)])
     np.sqrt(norms, out=norms)
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
@@ -92,9 +126,7 @@ class EmbeddingSet:
                 f"rows must be unit norm (worst deviation {worst:.3e}); "
                 "build sets through normalize_rows"
             )
-        vectors = np.ascontiguousarray(vectors)
-        vectors.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
+        _freeze(self, "vectors", vectors)
 
     @property
     def n(self) -> int:
@@ -159,19 +191,15 @@ class SimilarityMatrix:
             raise EmptyMatrix("similarity matrix needs at least one row and column")
         if not (values.max() <= 1.0 + 1e-9 and values.min() >= -1.0 - 1e-9):
             raise InvariantViolation("similarity entries must lie in [-1, 1]")
-        values = np.ascontiguousarray(values)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        _freeze(self, "values", values)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
     def blocks(self):
-        """(start, block) per _ROW_BLOCK rows, the block a read-only view of
-        rows start, start + 1, ... of values: a block source, never a copy."""
-        for start in range(0, self.shape[0], _ROW_BLOCK):
-            yield start, self.values[start:start + _ROW_BLOCK]
+        """The block source of values: _row_blocks' read-only views, never copies."""
+        return _row_blocks(self.values)
 
 
 def _check_cross_modal(vis: EmbeddingSet, txt: EmbeddingSet) -> None:
@@ -197,8 +225,7 @@ class _SimilarityBlocks:
 
     def blocks(self):
         buffer = np.empty((min(self.shape[0], _ROW_BLOCK), self.shape[1]))
-        for start in range(0, self.shape[0], _ROW_BLOCK):
-            rows = self._vis[start:start + _ROW_BLOCK]
+        for start, rows in _row_blocks(self._vis):
             block = np.matmul(rows, self._txt.T, out=buffer[:len(rows)])
             yield start, np.clip(block, -1.0, 1.0, out=block)
 
@@ -211,19 +238,11 @@ def _block_source(m):
     return SimilarityMatrix(values=np.asarray(m, dtype=np.float64).view())
 
 
-def _stacked(shape, blocks) -> SimilarityMatrix:
-    """The SimilarityMatrix whose rows the (start, block) pairs hold."""
-    values = np.empty(shape)
-    for start, block in blocks:
-        values[start:start + len(block)] = block
-    return SimilarityMatrix(values=values)
-
-
 def similarity_matrix(vis: EmbeddingSet, txt: EmbeddingSet) -> SimilarityMatrix:
     """Full cosine matrix between a vision set (rows) and a text set
     (columns), built from the blocks every ranking reads."""
     source = _SimilarityBlocks(vis, txt)
-    return _stacked(source.shape, source.blocks())
+    return SimilarityMatrix(values=_stacked(source.shape, source.blocks()))
 
 
 def _batch_means(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -259,9 +278,9 @@ def _grouped(keys: np.ndarray, partners: np.ndarray):
 class PairSet:
     """Ground-truth (vision_index, text_index) links, many-to-many allowed.
 
-    ``pairs`` is built from any array-like of (v, t) rows and stored once,
-    as a read-only (n, 2) int64 array in the given order.  Bad rows are an
-    InvariantViolation, negative or beyond-int64 indices IndexOutOfRange,
+    ``pairs`` is built from any array-like of (v, t) integer rows and stored
+    once, as a read-only (n, 2) int64 array in the given order.  Bad rows are
+    an InvariantViolation, negative or beyond-int64 indices IndexOutOfRange,
     and a repeated row DuplicatePair.  Index range and coverage depend on
     the embedding sets a PairSet is used with, so those checks happen in
     check_against at the point of use.
@@ -271,7 +290,10 @@ class PairSet:
 
     def __post_init__(self) -> None:
         try:
-            rows = np.array(self.pairs, dtype=np.int64)
+            raw = np.asarray(self.pairs)
+            for x in raw.flat if raw.size and raw.dtype.kind not in "iu" else ():
+                _integer(x, "a pair index", InvariantViolation, -math.inf)
+            rows = raw.astype(np.int64)
         except OverflowError:
             raise IndexOutOfRange("a pair index does not fit in int64") from None
         except (TypeError, ValueError) as exc:
@@ -287,8 +309,7 @@ class PairSet:
         if repeated.size:
             v, t = ordered[repeated[0]].tolist()
             raise DuplicatePair(f"pair ({v}, {t}) appears more than once")
-        rows.setflags(write=False)
-        object.__setattr__(self, "pairs", rows)
+        _freeze(self, "pairs", rows)
 
     def __len__(self) -> int:
         return self.pairs.shape[0]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import _NORM_EPS, MODALITIES, EmbeddingSet, _checked_rows
+from .embed import _NORM_EPS, MODALITIES, EmbeddingSet, _checked_rows, _freeze
 from .errors import (
     DimensionMismatch,
     EmptyVector,
@@ -77,9 +77,7 @@ class PrototypeBank:
         vectors, norms = _checked_rows(self.vectors)
         if np.any(norms < _NORM_EPS):
             raise ZeroPrototype("a prototype row has near-zero norm")
-        vectors = np.ascontiguousarray(vectors)
-        vectors.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
+        _freeze(self, "vectors", vectors)
 
     @property
     def k(self) -> int:
@@ -92,7 +90,7 @@ class PrototypeBank:
 
 @dataclass(frozen=True)
 class RerankParams:
-    """Penalty strengths for the vision side (beta1) and text side (beta2)."""
+    """Penalty strengths of the vision (beta1) and text (beta2) sides; a zero is stored as +0.0."""
 
     beta1: float = 0.0
     beta2: float = 0.0
@@ -102,6 +100,8 @@ class RerankParams:
             raise InvalidConfig("beta1 and beta2 must be finite")
         if self.beta1 < 0.0 or self.beta2 < 0.0:
             raise InvalidConfig("beta1 and beta2 must be nonnegative")
+        for name in ("beta1", "beta2"):
+            object.__setattr__(self, name, getattr(self, name) + 0.0)
 
 
 def generate_evidence(s, cfg: EvidenceConfig = EvidenceConfig()):
@@ -165,6 +165,10 @@ class DirichletState:
     psi: float
     u: float
 
+    def __post_init__(self) -> None:
+        for name in ("evidence", "alpha", "beliefs"):
+            _freeze(self, name, getattr(self, name))
+
     @property
     def k(self) -> int:
         return self.evidence.shape[0]
@@ -201,12 +205,9 @@ def dirichlet_from_evidence(e) -> DirichletState:
     if not np.all(np.isfinite(evidence)) or np.any(evidence < 0.0):
         raise NegativeEvidence("evidence entries must be finite and nonnegative")
     evidence = evidence.copy()
-    evidence.setflags(write=False)
     alpha = evidence + 1.0
     u, strength = dirichlet_uncertainty(evidence)
     beliefs = evidence / strength
-    beliefs.setflags(write=False)
-    alpha.setflags(write=False)
     return DirichletState(
         evidence=evidence,
         alpha=alpha,

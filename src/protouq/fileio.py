@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import _ROW_BLOCK, TEXT, VISION, EmbeddingSet, PairSet, _normalized
+from .embed import _ROW_BLOCK, TEXT, VISION, EmbeddingSet, PairSet, _normalized, _row_blocks
 from .errors import (
     BadMagic,
     DimensionMismatch,
@@ -110,19 +110,19 @@ class _Cursor:
 
     def rows(self, n: int, d: int) -> np.ndarray:
         """The one decoder of float32 rows: n x d of them as a new float64
-        array, read _ROW_BLOCK rows at a time through one float32 buffer, so
-        the array is the only allocation that grows with n.  A signaling NaN
-        becomes a quiet NaN without a RuntimeWarning, for the row checks to
-        reject."""
+        array, filled block by block (embed._row_blocks) through one float32
+        buffer, so the array is the only allocation that grows with n.  A
+        signaling NaN becomes a quiet NaN without a RuntimeWarning, for the
+        row checks to reject."""
         self._advance(4 * n * d)
         matrix = np.empty((n, d))
         buffer = np.empty((min(n, _ROW_BLOCK), d), dtype="<f4")
         with np.errstate(invalid="ignore"):
             # Rows of width 0 hold no bytes, however many the header declares.
-            for start in range(0, n if d else 0, _ROW_BLOCK):
-                block = buffer[:n - start]
+            for _, rows in _row_blocks(matrix) if d else ():
+                block = buffer[:len(rows)]
                 self.source.readinto(block)
-                matrix[start:start + _ROW_BLOCK] = block
+                rows[...] = block
         return matrix
 
     def done(self) -> None:
@@ -151,15 +151,10 @@ def _source(fh, path, count, pos: int = 0) -> _Cursor:
     return _Cursor(io.BytesIO(blob), pos + len(blob), path, pos)
 
 
-def _row_blocks(matrix: np.ndarray):
-    """matrix's rows, _ROW_BLOCK of them at a time, as views."""
-    return (matrix[start:start + _ROW_BLOCK] for start in range(0, matrix.shape[0], _ROW_BLOCK))
-
-
 def _write_rows(fh, blocks) -> None:
-    """The one encoder of float32 rows: each block of rows, as it comes,
-    as little-endian float32."""
-    for block in blocks:
+    """The one encoder of float32 rows: each (start, block) of a block
+    source, as it comes, as little-endian float32."""
+    for _, block in blocks:
         fh.write(block.astype("<f4"))
 
 
@@ -191,7 +186,7 @@ def _check_magic_version(cur: _Cursor, expected_magic: bytes) -> None:
 
 def _write_embedding_rows(fh, modality: str, n: int, d: int, blocks) -> None:
     """A "PAUE" file into an open fh: the header of n rows of width d, then
-    the rows of blocks, which must hold that many, as float32."""
+    the rows of the (start, block) pairs, which must hold n, as float32."""
     fh.write(
         _MAGIC_VERSION.pack(EMBEDDINGS_MAGIC, FORMAT_VERSION)
         + _EMBED_HEADER.pack(_MODALITY_CODES[modality], n, d)
@@ -202,9 +197,8 @@ def _write_embedding_rows(fh, modality: str, n: int, d: int, blocks) -> None:
 def write_embeddings(embeddings: EmbeddingSet, path) -> None:
     """Write a "PAUE" file: the header, then the rows as float32."""
     with _atomic_write(path) as fh:
-        _write_embedding_rows(
-            fh, embeddings.modality, embeddings.n, embeddings.d, _row_blocks(embeddings.vectors)
-        )
+        _write_embedding_rows(fh, embeddings.modality, embeddings.n, embeddings.d,
+                              _row_blocks(embeddings.vectors))
 
 
 def read_embeddings(path) -> EmbeddingSet:

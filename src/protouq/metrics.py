@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import _ROW_BLOCK, PairSet, _block_source
+from .embed import _ROW_BLOCK, PairSet, _block_source, _integer
 from .errors import (
     EmptyVector,
     InvalidConfig,
@@ -316,11 +316,9 @@ def removal_curve(
         raise InvalidConfig(f"unknown removal mode {mode!r}")
     if side not in (GALLERY_SIDE, QUERY_SIDE):
         raise InvalidConfig(f"unknown removal side {side!r}")
-    if seed < 0:
-        raise InvalidConfig(f"seed must be unsigned, got {seed}")
-    counts = [int(c) for c in counts]
-    if any(c < 0 for c in counts):
-        raise InvalidConfig("removal counts must be nonnegative")
+    _integer(seed, "seed", InvalidConfig, 0)
+    counts = [_integer(c, "a removal count", InvalidConfig, 0, "removal counts must be nonnegative")
+              for c in counts]
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise InvalidConfig("removal counts must be strictly increasing")
     n_pairs = len(pairs)
@@ -415,12 +413,10 @@ def msvd_collision_logprob(n_captions: int, batch: int, group: int) -> float:
 
         sum_{i=1}^{batch} [ log(n - group (i - 1)) - log(n - (i - 1)) ].
     """
-    if batch < 1 or group < 1:
-        raise InvalidCounts(f"batch and group must be >= 1, got {batch} and {group}")
-    if n_captions < batch * group:
-        raise InvalidCounts(
-            f"need n_captions >= batch * group, got {n_captions} < {batch * group}"
-        )
+    for name, value in (("batch", batch), ("group", group)):
+        _integer(value, name, InvalidCounts, 1, f"batch and group must be >= 1, got {batch} and {group}")
+    _integer(n_captions, "n_captions", InvalidCounts, batch * group,
+             f"need n_captions >= batch * group, got {n_captions} < {batch * group}")
     if n_captions > sys.float_info.max:
         raise InvalidCounts("n_captions exceeds the float64 range")
     if batch > np.iinfo(np.intp).max:

@@ -53,7 +53,7 @@ def apply_rerank(m, u_v, u_t, params: RerankParams) -> SimilarityMatrix:
     values pass through bit for bit.
     """
     source = _block_source(m)
-    return _stacked(source.shape, _reranked_rows(source, u_v, u_t, params))
+    return SimilarityMatrix(values=_stacked(source.shape, _reranked_rows(source, u_v, u_t, params)))
 
 
 def evaluate_reranked(m, u_v, u_t, pairs: PairSet, params: RerankParams):

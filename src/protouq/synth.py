@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import _ROW_BLOCK, TEXT, VISION, EmbeddingSet, PairSet, _normalized
+from .embed import _ROW_BLOCK, TEXT, VISION, EmbeddingSet, PairSet, _integer, _normalized, _stacked
 from .errors import InvalidSpec
 
 _WEIGHT_TOL = 1e-9
@@ -56,12 +56,10 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         weights = _positive_weights(self.ambiguity_weights)
-        if self.n_items < 1:
-            raise InvalidSpec(f"n_items must be >= 1, got {self.n_items}")
-        if self.d < 2:
-            raise InvalidSpec(f"d must be >= 2, got {self.d}")
-        if not 1 <= self.k_true <= self.d:
-            raise InvalidSpec(f"k_true must be in [1, d={self.d}], got {self.k_true}")
+        for name, low in (("n_items", 1), ("d", 2), ("captions_per_item", 1), ("seed", 0)):
+            _integer(getattr(self, name), name, InvalidSpec, low)
+        _integer(self.k_true, "k_true", InvalidSpec, 1,
+                 f"k_true must be in [1, d={self.d}], got {self.k_true}", self.d)
         m_max = max(weights)  # the weights sum to 1, so one is positive
         if m_max > self.k_true:
             raise InvalidSpec(f"largest ambiguity level {m_max} exceeds k_true={self.k_true}")
@@ -69,12 +67,6 @@ class SyntheticSpec:
         object.__setattr__(self, "ambiguity_weights", dense)
         if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0.0:
             raise InvalidSpec(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.captions_per_item < 1:
-            raise InvalidSpec(
-                f"captions_per_item must be >= 1, got {self.captions_per_item}"
-            )
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be unsigned, got {self.seed}")
         for rows, cols in ((self.n_items * self.captions_per_item, self.d), (self.d, self.k_true)):
             if 8 * rows * cols > np.iinfo(np.intp).max:
                 raise InvalidSpec(f"a ({rows}, {cols}) float64 draw exceeds NumPy's largest array")
@@ -120,8 +112,8 @@ def _corpus_blocks(spec: SyntheticSpec):
 
     The draw order is fixed (directions, ambiguity levels, per-item
     direction sets, vision noise, text noise), so output is a pure function
-    of spec.  A block is up to _ROW_BLOCK rows of a set, normalized and
-    read-only, and its noise is drawn when it is asked for, so use up the
+    of spec.  A block is (start, up to _ROW_BLOCK rows of a set, normalized
+    and read-only), and its noise is drawn when it is asked for, so use up the
     vision blocks before the text blocks.  Drawing a set block by block
     draws the stream one call would, and every step is row by row, so the
     blocks hold the bits of whole sets.  Every caption of an item reuses
@@ -154,7 +146,7 @@ def _corpus_blocks(spec: SyntheticSpec):
             for j in range(1, spec.m_max):
                 np.add(base, directions[slots[items, j]], out=base, where=(ms[items] > j)[:, None])
             raw += base
-            yield _normalized(raw, modality).vectors
+            yield start, _normalized(raw, modality).vectors
 
     cpi = spec.captions_per_item
     captions = np.arange(spec.n_items * cpi)
@@ -171,19 +163,13 @@ def generate_corpus(
 ) -> tuple[EmbeddingSet, EmbeddingSet, PairSet, AmbiguityLabels]:
     """Build one corpus: vision set, text set, ground-truth pairs, labels.
 
-    The sets are _corpus_blocks's blocks copied into place, with the bits
+    The sets stack _corpus_blocks's blocks (embed._stacked), with the bits
     gen-synth writes.  Beside the two float64 sets, the corpus allocates
     only the (n_items, m_max) direction indices, the pairs, the labels and
     row-block temporaries; no (n_items, d) array is drawn whole.
     """
     vis_blocks, txt_blocks, pairs, labels = _corpus_blocks(spec)
-    sets = []
-    for modality, blocks, n_rows in (
-        (VISION, vis_blocks, spec.n_items),
-        (TEXT, txt_blocks, spec.n_items * spec.captions_per_item),
-    ):
-        vectors = np.empty((n_rows, spec.d))
-        for start, block in zip(range(0, n_rows, _ROW_BLOCK), blocks):
-            vectors[start:start + _ROW_BLOCK] = block
-        sets.append(EmbeddingSet(modality=modality, vectors=vectors))
-    return sets[0], sets[1], pairs, labels
+    vis = EmbeddingSet(modality=VISION, vectors=_stacked((spec.n_items, spec.d), vis_blocks))
+    n_captions = spec.n_items * spec.captions_per_item
+    txt = EmbeddingSet(modality=TEXT, vectors=_stacked((n_captions, spec.d), txt_blocks))
+    return vis, txt, pairs, labels

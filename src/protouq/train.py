@@ -12,7 +12,6 @@ that the evidence functions see through the dot product.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +25,7 @@ from .embed import (
     _batch_means,
     _check_cross_modal,
     _grouped,
+    _integer,
 )
 from .errors import (
     DimensionMismatch,
@@ -56,10 +56,8 @@ H_MAPPINGS = (H_CLAMP, H_AFFINE)
 
 def init_prototypes(k: int, d: int, seed: int, modality: str = VISION) -> PrototypeBank:
     """Seeded Xavier-uniform bank: entries drawn from +-sqrt(6 / (2 d))."""
-    if k < 1:
-        raise InvalidConfig(f"k must be >= 1, got {k}")
-    if d < 2:
-        raise DimensionTooSmall(f"d must be >= 2, got {d}")
+    _integer(k, "k", InvalidConfig, 1)
+    _integer(d, "d", DimensionTooSmall, 2)
     if 8 * k * d > np.iinfo(np.intp).max:
         raise InvalidConfig(f"a ({k}, {d}) float64 bank exceeds NumPy's largest array")
     bound = np.sqrt(6.0 / (2.0 * d))
@@ -87,14 +85,8 @@ class TrainConfig:
     h_mapping: str = H_CLAMP
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be unsigned, got {self.seed}")
-        if self.k < 1:
-            raise InvalidConfig(f"k must be >= 1, got {self.k}")
-        if self.batch_size < 2:
-            raise InvalidConfig(f"batch_size must be >= 2, got {self.batch_size}")
+        for name, low in (("epochs", 1), ("seed", 0), ("k", 1), ("batch_size", 2)):
+            _integer(getattr(self, name), name, InvalidConfig, low)
         if not np.isfinite(self.learning_rate) or self.learning_rate <= 0.0:
             raise InvalidConfig(f"learning_rate must be positive, got {self.learning_rate}")
         if not np.isfinite(self.lambda_div) or self.lambda_div < 0.0:
@@ -212,9 +204,8 @@ def _uct_value_grads(
         dL/dz_k = sum_i (2/n) (u_i - h_i) (K / S_i^2) f'(p_ik) x_i.
 
     An S past about 1.3e154 squares to inf although K / S^2 is a finite
-    number.  One test of the largest S of the whole stack finds that case;
-    only then do the rows whose square overflows take K / S / S instead.
-    The other rows get K / S^2 either way, with the same bits.
+    number, so the rows whose square overflows take K / S / S instead and
+    every other row K / S^2.
     """
     n = instances.shape[-2]
     k = bank_vectors.shape[-2]
@@ -222,16 +213,11 @@ def _uct_value_grads(
     evidence = generate_evidence(p, cfg)
     u, strength = dirichlet_uncertainty(evidence)
     value, weight = _uct_value(u, targets)
-    top = float(strength.max())
-    if top * top < math.inf:
-        slope = np.multiply(strength, strength, out=strength)
-        np.divide(k, slope, out=slope)
-    else:
-        with np.errstate(over="ignore"):
-            squared = strength * strength
-        slope = k / squared
-        huge = np.isinf(squared)
-        slope[huge] = k / strength[huge] / strength[huge]
+    with np.errstate(over="ignore"):
+        slope = strength * strength
+    huge = np.isinf(slope)
+    np.divide(k, slope, out=slope)
+    slope[huge] = k / strength[huge] / strength[huge]
     weight *= 2.0 / n
     weight *= slope
     grad = _slope_consuming_evidence(p, evidence, cfg)

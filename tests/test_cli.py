@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import struct
 import tracemalloc
 from dataclasses import fields
@@ -291,6 +292,16 @@ class TestTrain:
             first = fh.read()
         assert again.read_bytes() == first
 
+    def test_negative_zero_betas_store_the_bytes_of_zero(self, pipeline, tmp_path):
+        signed = tmp_path / "signed.paup"
+        assert run([
+            "train", "--vis", pipeline["vis"], "--txt", pipeline["txt"],
+            "--pairs", pipeline["pairs"], "--ckpt", str(signed),
+            "--epochs", "3", "--k", "4", "--batch-size", "16",
+            "--lr", "0.1", "--seed", "5", "--beta1", "-0", "--beta2", "-0",
+        ]) == 0
+        assert signed.read_bytes() == Path(pipeline["ckpt"]).read_bytes()
+
 
 class TestScore:
     def test_scores_both_modalities(self, pipeline, tmp_path, capsys):
@@ -421,6 +432,24 @@ class TestRerank:
         )
         _, rows = read_csv(matrix_csv)
         assert rows == [[repr(x) for x in row] for row in reranked.values.tolist()]
+
+    def test_negative_zero_betas_print_as_zero(self, pipeline, capsys):
+        assert run([
+            "rerank", "--ckpt", pipeline["ckpt"], "--vis", pipeline["vis"],
+            "--txt", pipeline["txt"], "--pairs", pipeline["pairs"], "--beta1", "-0", "--beta2", "-0",
+        ]) == 0
+        assert " beta1=0.0 beta2=0.0 " in capsys.readouterr().out
+
+    def test_fit_over_negative_zero_stores_positive_zero(self, pipeline, tmp_path):
+        # -0 is the grid's only candidate, so it is the fitted beta of both axes.
+        fitted = tmp_path / "fitted.paup"
+        assert run([
+            "rerank", "--ckpt", pipeline["ckpt"], "--vis", pipeline["vis"],
+            "--txt", pipeline["txt"], "--pairs", pipeline["pairs"],
+            "--fit-betas", "--grid=-0", "--ckpt-out", str(fitted),
+        ]) == 0
+        rerank = read_checkpoint(fitted).rerank
+        assert [math.copysign(1.0, b) for b in (rerank.beta1, rerank.beta2)] == [1.0, 1.0]
 
     @pytest.mark.parametrize("flag, value", [("--ckpt-out", "fitted.paup"), ("--grid", "0,1")])
     def test_fit_only_flag_without_fit_betas_is_usage_error(

@@ -301,6 +301,11 @@ class TestPairSet:
         with pytest.raises(InvariantViolation):
             PairSet(pairs=rows)
 
+    @pytest.mark.parametrize("rows", [[(0.7, 1.2)], [(0, 1), (1, 2.0)], np.array([[0.0, 1.0]])])
+    def test_non_integer_indices_rejected_not_truncated(self, rows):
+        with pytest.raises(InvariantViolation, match="a pair index must be an integer"):
+            PairSet(pairs=rows)
+
     def test_index_beyond_int64_rejected(self):
         with pytest.raises(IndexOutOfRange, match="int64"):
             PairSet(pairs=((0, 0), (2, 10**20)))

@@ -67,6 +67,12 @@ class TestGenerateEvidence:
         cfg = EvidenceConfig(kind="softplus", gamma=1.0, theta=20.0)
         assert generate_evidence(25.0, cfg) == 25.0
 
+    def test_softplus_at_the_threshold_is_still_softplus(self):
+        # gamma * s == theta is the last point of the softplus branch, where
+        # softplus and the identity differ by log1p(exp(-20)), about 2e-9.
+        cfg = EvidenceConfig(kind="softplus", gamma=1.0, theta=20.0)
+        assert generate_evidence(20.0, cfg) == np.log1p(np.exp(20.0)) != 20.0
+
     def test_softplus_gamma_scaling(self):
         cfg = EvidenceConfig(kind="softplus", gamma=2.0)
         want = math.log1p(math.exp(2.0 * 0.3)) / 2.0
@@ -100,6 +106,10 @@ class TestEvidenceSlope:
     def test_softplus_slope_past_threshold_is_one(self):
         cfg = EvidenceConfig(kind="softplus", gamma=1.0, theta=20.0)
         assert evidence_slope(25.0, cfg) == 1.0
+
+    def test_softplus_slope_at_the_threshold_is_the_sigmoid(self):
+        cfg = EvidenceConfig(kind="softplus", gamma=1.0, theta=20.0)
+        assert evidence_slope(20.0, cfg) == 1.0 / (1.0 + np.exp(-20.0)) != 1.0
 
     def test_relu_subgradient_at_zero(self):
         assert evidence_slope(0.0, EvidenceConfig(kind="relu")) == 0.0

@@ -395,6 +395,15 @@ class TestRemovalCurve:
         with pytest.raises(InvalidConfig):
             removal_curve(values, np.zeros(4), np.zeros(4), pairs, [1], side="both")
 
+    def test_counts_and_seed_are_integers(self):
+        values, pairs = hub_matrix()
+        curve = removal_curve(values, np.zeros(4), np.zeros(4), pairs, np.array([1, 2]), seed=np.int64(1))
+        assert [p.removed for p in curve.points] == [1, 2]
+        with pytest.raises(InvalidConfig, match="a removal count must be an integer, got 1.9"):
+            removal_curve(values, np.zeros(4), np.zeros(4), pairs, [1.9])
+        with pytest.raises(InvalidConfig, match="seed must be an integer, got 0.5"):
+            removal_curve(values, np.zeros(4), np.zeros(4), pairs, [1], mode="random", seed=0.5)
+
     def test_negative_seed_rejected(self):
         values, pairs = hub_matrix()
         with pytest.raises(InvalidConfig):
@@ -545,6 +554,13 @@ class TestMsvdCollisionLogprob:
             msvd_collision_logprob(100, 4, 0)
         with pytest.raises(InvalidCounts):
             msvd_collision_logprob(10, 4, 4)
+
+    @pytest.mark.parametrize("args", [(20, 2.5, 2), (20, 2, 2.0), (20.0, 2, 2)])
+    def test_fractional_or_float_counts_rejected(self, args):
+        with pytest.raises(InvalidCounts, match="must be an integer"):
+            msvd_collision_logprob(*args)
+        ints = (np.int64(args[0]), np.int32(args[1]), np.int8(args[2]))
+        assert msvd_collision_logprob(*ints) == msvd_collision_logprob(20, 2, 2)
 
     def test_count_beyond_float64_rejected(self):
         with pytest.raises(InvalidCounts):

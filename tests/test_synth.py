@@ -91,6 +91,14 @@ class TestSyntheticSpec:
         with pytest.raises(InvalidSpec):
             SyntheticSpec(**base)
 
+    @pytest.mark.parametrize("name", ["n_items", "d", "k_true", "captions_per_item", "seed"])
+    def test_counts_sizes_and_seed_are_integers(self, name):
+        # operator.index: NumPy integers pass, a float is refused even when whole
+        base = dict(n_items=4, d=8, k_true=4)
+        assert getattr(SyntheticSpec(**{**base, name: np.int64(4)}), name) == 4
+        with pytest.raises(InvalidSpec, match=f"{name} must be an integer, got 4.0"):
+            SyntheticSpec(**{**base, name: 4.0})
+
 
 class TestAmbiguityLabels:
     def test_mismatched_lengths_rejected(self):

@@ -78,6 +78,14 @@ class TestInitPrototypes:
         with pytest.raises(DimensionTooSmall):
             init_prototypes(k=2, d=1, seed=0)
 
+    def test_k_and_d_are_integers(self):
+        # operator.index: NumPy integers pass, a float is refused even when whole
+        assert init_prototypes(k=np.int64(2), d=np.int32(4), seed=0).vectors.shape == (2, 4)
+        with pytest.raises(InvalidConfig, match="k must be an integer, got 2.0"):
+            init_prototypes(k=2.0, d=4, seed=0)
+        with pytest.raises(DimensionTooSmall, match="d must be an integer, got 4.5"):
+            init_prototypes(k=2, d=4.5, seed=0)
+
     def test_bank_beyond_numpy_rejected(self):
         with pytest.raises(InvalidConfig, match="exceeds NumPy's largest array"):
             init_prototypes(k=10**20, d=8, seed=0)
@@ -135,6 +143,15 @@ class TestTrainConfig:
         base.update(overrides)
         with pytest.raises(InvalidConfig):
             TrainConfig(**base)
+
+    @pytest.mark.parametrize("name", ["epochs", "seed", "k", "batch_size"])
+    def test_counts_and_seed_are_integers(self, name):
+        # operator.index: NumPy integers pass, a float is refused even when whole
+        base = dict(epochs=1, seed=0)
+        assert getattr(TrainConfig(**{**base, name: np.int64(3)}), name) == 3
+        for value in (1.5, 3.0):
+            with pytest.raises(InvalidConfig, match=f"{name} must be an integer, got {value}"):
+                TrainConfig(**{**base, name: value})
 
     def test_known_option_lists(self):
         assert set(H_MAPPINGS) == {"clamp", "affine"}
@@ -684,6 +701,21 @@ def test_lean_step_keeps_the_plain_step_bits_where_strength_squared_overflows(ki
     assert (losses.uct_v, losses.uct_t, losses.div_v, losses.div_t, losses.total) == want_losses
 
 
+def test_rows_whose_strength_squared_overflows_reach_the_gradient():
+    # Without the diversity term nothing swamps the K / S / S of rows whose
+    # S^2 overflows, about 1e-308, so leaving them at K / inf = 0 would
+    # change the gradient bits of the prototypes those rows face.
+    xv, xt, z_v, z_t = step_inputs(91)
+    w = normalize_rows(np.ones((4, 32)) + 0.3 * np.random.default_rng(92).standard_normal((4, 32)),
+                       TEXT).vectors
+    z_v[:4] = z_t[:4] = 1.2e154 * w
+    cfg = TrainConfig(epochs=1, seed=0, k=8, lambda_div=0.0, evidence=EvidenceConfig(kind="relu"))
+    grad_v, grad_t, _ = stacked_step(xv, xt, z_v, z_t, cfg)
+    want_v, want_t, _ = plain_batch_gradients(xv, xt, z_v, z_t, cfg)
+    assert np.array_equal(grad_v, want_v) and np.array_equal(grad_t, want_t)
+    assert np.count_nonzero(grad_v[:4]) and np.count_nonzero(grad_t[:4])
+
+
 @pytest.mark.parametrize("lambda_div", [0.0, 0.7])
 def test_lean_train_keeps_the_plain_banks_and_history(lambda_div):
     vis, txt, pairs, _ = smoke_corpus()
@@ -723,8 +755,8 @@ def test_single_prototype_keeps_the_plain_step_bits(lambda_div):
 
 def test_strength_squared_overflowing_in_one_direction_keeps_the_other_fast_path_bits():
     # Vision rows against a text bank of norm 1.2e154 overflow S^2; text
-    # rows against the ordinary vision bank do not.  The fallback then runs
-    # on the whole stack, and the text direction must keep the bits it has
+    # rows against the ordinary vision bank do not.  Only the overflowing
+    # rows take K / S / S, so the text direction must keep the bits it has
     # when nothing overflows.
     xv, xt, z_v, z_t = step_inputs(95)
     cfg = TrainConfig(epochs=1, seed=0, k=8, lambda_div=0.7, evidence=EvidenceConfig(kind="relu"))
