@@ -9,6 +9,7 @@ matrix M has vision on rows and text on columns everywhere.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -45,6 +46,19 @@ def _integer(value, name: str, error, low, message=None, high=math.inf) -> int:
     if not low <= index <= high:
         raise error(message or f"{name} must be {f'>= {low}' if low else 'unsigned'}, got {value}")
     return index
+
+
+def _real(value, name: str, error, positive=False) -> float:
+    """value as a float >= 0 (> 0 when positive), else error: the one rule for real
+    parameters.  A numbers.Real passes (NumPy scalars too); anything else, NaN, +-inf
+    and an int too large for a float are refused.  -0.0 comes back as +0.0."""
+    try:
+        number = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:
+        number = math.inf
+    if not (math.isfinite(number) and (number > 0.0 if positive else number >= 0.0)):
+        raise error(f"{name} must be a finite number {'>' if positive else '>='} 0, got {value!r}")
+    return number + 0.0
 
 
 def _freeze(obj, name: str, array: np.ndarray) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import _NORM_EPS, MODALITIES, EmbeddingSet, _checked_rows, _freeze
+from .embed import _NORM_EPS, MODALITIES, EmbeddingSet, _checked_rows, _freeze, _real
 from .errors import (
     DimensionMismatch,
     EmptyVector,
@@ -59,9 +59,7 @@ class EvidenceConfig:
         if self.kind not in EVIDENCE_KINDS:
             raise InvalidConfig(f"unknown evidence kind {self.kind!r}")
         for name in ("gamma", "theta", "tau"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0.0:
-                raise InvalidConfig(f"{name} must be finite and positive, got {value}")
+            object.__setattr__(self, name, _real(getattr(self, name), name, InvalidConfig, positive=True))
 
 
 @dataclass(frozen=True)
@@ -90,18 +88,14 @@ class PrototypeBank:
 
 @dataclass(frozen=True)
 class RerankParams:
-    """Penalty strengths of the vision (beta1) and text (beta2) sides; a zero is stored as +0.0."""
+    """Penalty strengths of the vision (beta1) and text (beta2) sides."""
 
     beta1: float = 0.0
     beta2: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.beta1) and np.isfinite(self.beta2)):
-            raise InvalidConfig("beta1 and beta2 must be finite")
-        if self.beta1 < 0.0 or self.beta2 < 0.0:
-            raise InvalidConfig("beta1 and beta2 must be nonnegative")
         for name in ("beta1", "beta2"):
-            object.__setattr__(self, name, getattr(self, name) + 0.0)
+            object.__setattr__(self, name, _real(getattr(self, name), name, InvalidConfig))
 
 
 def generate_evidence(s, cfg: EvidenceConfig = EvidenceConfig()):
@@ -141,17 +135,6 @@ def evidence_slope(s, cfg: EvidenceConfig = EvidenceConfig()):
     else:
         out = np.exp(arr / cfg.tau) / cfg.tau
     return float(out) if arr.ndim == 0 else out
-
-
-def _slope_consuming_evidence(s: np.ndarray, evidence: np.ndarray, cfg: EvidenceConfig) -> np.ndarray:
-    """evidence_slope(s, cfg) for an array s whose evidence,
-    generate_evidence(s, cfg), the caller no longer needs.  The exponential
-    slope exp(s / tau) / tau is that evidence divided by tau, in place, with
-    the same bits; the other kinds leave the evidence as it is."""
-    if cfg.kind == EXPONENTIAL:
-        evidence /= cfg.tau
-        return evidence
-    return evidence_slope(s, cfg)
 
 
 @dataclass(frozen=True)

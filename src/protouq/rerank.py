@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embed import PairSet, SimilarityMatrix, _block_source, _stacked
+from .embed import PairSet, SimilarityMatrix, _block_source, _real, _stacked
 from .errors import EmptyGrid, InvalidConfig
 from .evidence import RerankParams
 from .metrics import (
@@ -91,11 +91,9 @@ def fit_betas(m, u_v, u_t, pairs: PairSet, grid=DEFAULT_BETA_GRID) -> RerankPara
     the exhaustive sweep would see; this fit ranks them in their order
     before that rounding.
     """
-    candidates = sorted({float(g) for g in grid})
+    candidates = sorted({_real(g, "a beta grid entry", InvalidConfig) for g in grid})
     if not candidates:
         raise EmptyGrid("beta grid has no candidates")
-    if any(not np.isfinite(g) or g < 0.0 for g in candidates):
-        raise InvalidConfig("beta grid entries must be finite and nonnegative")
     if 0.0 not in candidates:
         raise InvalidConfig("beta grid must contain 0 (the no-penalty baseline)")
     source, u_v, u_t = _similarities_and_uncertainties(m, u_v, u_t)

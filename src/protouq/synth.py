@@ -12,29 +12,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import _ROW_BLOCK, TEXT, VISION, EmbeddingSet, PairSet, _integer, _normalized, _stacked
+from .embed import _ROW_BLOCK, TEXT, VISION, EmbeddingSet, PairSet, _integer, _normalized, _real, _stacked
 from .errors import InvalidSpec
 
 _WEIGHT_TOL = 1e-9
 
 
 def _positive_weights(raw) -> dict[int, float]:
-    """Every weight checked; the positive ones as {m: weight}.  Builds nothing
-    as long as the largest level, which SyntheticSpec checks against k_true."""
+    """Every level and weight checked; the positive weights as {m: weight}.  Builds
+    nothing as long as the largest level, which SyntheticSpec checks against k_true."""
     try:
-        if isinstance(raw, dict):
-            for m in raw:
-                if int(m) != m or m < 1:
-                    raise InvalidSpec(f"ambiguity level {m!r} is not a positive integer")
-            weights = {int(m): float(w) for m, w in raw.items()}
-        else:
-            weights = {m: float(w) for m, w in enumerate(raw, 1)}
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidSpec(f"ambiguity_weights {raw!r} needs integer levels and numeric weights") from None
+        levels = raw.items() if isinstance(raw, dict) else enumerate(raw, 1)
+    except TypeError:
+        raise InvalidSpec(f"ambiguity_weights {raw!r} is neither a dict nor a sequence") from None
+    weights = {_integer(m, "an ambiguity level", InvalidSpec, 1): _real(w, "an ambiguity weight", InvalidSpec)
+               for m, w in levels}
     if not weights:
         raise InvalidSpec("ambiguity_weights is empty")
-    if any(not np.isfinite(w) or w < 0.0 for w in weights.values()):
-        raise InvalidSpec("ambiguity weights must be finite and nonnegative")
     total = sum(weights.values())
     if abs(total - 1.0) > _WEIGHT_TOL:
         raise InvalidSpec(f"ambiguity weights sum to {total}, not 1")
@@ -65,8 +59,7 @@ class SyntheticSpec:
             raise InvalidSpec(f"largest ambiguity level {m_max} exceeds k_true={self.k_true}")
         dense = tuple(weights.get(m, 0.0) for m in range(1, m_max + 1))
         object.__setattr__(self, "ambiguity_weights", dense)
-        if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0.0:
-            raise InvalidSpec(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        object.__setattr__(self, "noise_sigma", _real(self.noise_sigma, "noise_sigma", InvalidSpec))
         for rows, cols in ((self.n_items * self.captions_per_item, self.d), (self.d, self.k_true)):
             if 8 * rows * cols > np.iinfo(np.intp).max:
                 raise InvalidSpec(f"a ({rows}, {cols}) float64 draw exceeds NumPy's largest array")
@@ -101,6 +94,7 @@ def latent_directions(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
     Gram-Schmidt orthonormalization of the columns, computed stably.  The
     rows come back C-contiguous, so gathering a few of them is a row copy.
     """
+    _integer(k, "k", InvalidSpec, 1, f"k must be in [1, d={d}], got {k}", _integer(d, "d", InvalidSpec, 1))
     q, r = np.linalg.qr(rng.standard_normal((d, k)))
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0

@@ -26,6 +26,7 @@ from .embed import (
     _check_cross_modal,
     _grouped,
     _integer,
+    _real,
 )
 from .errors import (
     DimensionMismatch,
@@ -40,8 +41,8 @@ from .errors import (
 from .evidence import (
     EvidenceConfig,
     PrototypeBank,
-    _slope_consuming_evidence,
     dirichlet_uncertainty,
+    evidence_slope,
     generate_evidence,
 )
 
@@ -58,6 +59,7 @@ def init_prototypes(k: int, d: int, seed: int, modality: str = VISION) -> Protot
     """Seeded Xavier-uniform bank: entries drawn from +-sqrt(6 / (2 d))."""
     _integer(k, "k", InvalidConfig, 1)
     _integer(d, "d", DimensionTooSmall, 2)
+    _integer(seed, "seed", InvalidConfig, 0)
     if 8 * k * d > np.iinfo(np.intp).max:
         raise InvalidConfig(f"a ({k}, {d}) float64 bank exceeds NumPy's largest array")
     bound = np.sqrt(6.0 / (2.0 * d))
@@ -87,10 +89,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name, low in (("epochs", 1), ("seed", 0), ("k", 1), ("batch_size", 2)):
             _integer(getattr(self, name), name, InvalidConfig, low)
-        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0.0:
-            raise InvalidConfig(f"learning_rate must be positive, got {self.learning_rate}")
-        if not np.isfinite(self.lambda_div) or self.lambda_div < 0.0:
-            raise InvalidConfig(f"lambda_div must be >= 0, got {self.lambda_div}")
+        for name, positive in (("learning_rate", True), ("lambda_div", False)):
+            object.__setattr__(self, name, _real(getattr(self, name), name, InvalidConfig, positive))
         if self.h_mapping not in H_MAPPINGS:
             raise InvalidConfig(f"unknown h_mapping {self.h_mapping!r}")
 
@@ -220,7 +220,7 @@ def _uct_value_grads(
     slope[huge] = k / strength[huge] / strength[huge]
     weight *= 2.0 / n
     weight *= slope
-    grad = _slope_consuming_evidence(p, evidence, cfg)
+    grad = evidence_slope(p, cfg)
     grad *= weight[..., None]
     return value, grad.swapaxes(-1, -2) @ instances
 

@@ -1,4 +1,6 @@
-"""Embedding sets, cosine similarity, and pair bookkeeping."""
+"""Embedding sets, cosine similarity, pair bookkeeping, and the real-parameter rule."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,10 +9,15 @@ from protouq import (
     TEXT,
     VISION,
     EmbeddingSet,
+    EvidenceConfig,
     PairSet,
+    RerankParams,
     SimilarityMatrix,
+    SyntheticSpec,
+    TrainConfig,
     batch_means,
     cosine,
+    fit_betas,
     normalize_rows,
     similarity_matrix,
 )
@@ -21,6 +28,8 @@ from protouq.errors import (
     DuplicatePair,
     EmptyMatrix,
     IndexOutOfRange,
+    InvalidConfig,
+    InvalidSpec,
     InvariantViolation,
     MissingPositive,
     ModalityMismatch,
@@ -324,3 +333,45 @@ class TestPairSet:
 
     def test_empty_pair_set_has_shape_0_by_2(self):
         assert PairSet().pairs.shape == (0, 2) and len(PairSet(pairs=[])) == 0
+
+
+def _spec(**fields):
+    return SyntheticSpec(n_items=4, d=8, k_true=4, **fields)
+
+
+def _config(**fields):
+    return TrainConfig(epochs=1, seed=0, **fields)
+
+
+def _fitted_beta1(entry):
+    values, u, pairs = np.array([[0.9, 0.1], [0.2, 0.8]]), np.zeros(2), PairSet(pairs=((0, 0), (1, 1)))
+    return fit_betas(values, u, u, pairs, grid=(0.0, entry)).beta1
+
+
+# Every real parameter: (name in its error, the value stored when x is given
+# as that parameter, its error type, whether 0 is refused too).
+REAL_FIELDS = [
+    ("gamma", lambda x: EvidenceConfig(gamma=x).gamma, InvalidConfig, True),
+    ("theta", lambda x: EvidenceConfig(theta=x).theta, InvalidConfig, True),
+    ("tau", lambda x: EvidenceConfig(tau=x).tau, InvalidConfig, True),
+    ("learning_rate", lambda x: _config(learning_rate=x).learning_rate, InvalidConfig, True),
+    ("lambda_div", lambda x: _config(lambda_div=x).lambda_div, InvalidConfig, False),
+    ("beta1", lambda x: RerankParams(beta1=x).beta1, InvalidConfig, False),
+    ("beta2", lambda x: RerankParams(beta2=x).beta2, InvalidConfig, False),
+    ("noise_sigma", lambda x: _spec(noise_sigma=x).noise_sigma, InvalidSpec, False),
+    ("ambiguity weight", lambda x: _spec(ambiguity_weights=(x, 1.0)).ambiguity_weights[0], InvalidSpec, False),
+    ("beta grid entry", _fitted_beta1, InvalidConfig, False),
+]
+
+
+class TestRealRule:
+    @pytest.mark.parametrize("name, stored, error, positive", REAL_FIELDS, ids=[f[0] for f in REAL_FIELDS])
+    def test_each_is_a_finite_number_stored_as_a_float(self, name, stored, error, positive):
+        # 10**400 is an int no float holds; "0.1" is not a number, though float() parses it
+        bad_values = (None, "0.1", 10**400, math.nan, math.inf, -math.inf, -1)
+        for bad in bad_values + ((0,) if positive else ()):
+            with pytest.raises(error, match=f"{name} must be a finite number"):
+                stored(bad)
+        for good in (np.float64(0.5),) if positive else (-0.0, np.float64(-0.0)):
+            got = stored(good)
+            assert type(got) is float and got == good and math.copysign(1.0, got) == 1.0

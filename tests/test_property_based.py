@@ -41,6 +41,7 @@ from protouq import (
 from protouq.cli import run
 from protouq.embed import _ROW_BLOCK
 from protouq.metrics import DIRECTIONS, _report
+from test_embed import REAL_FIELDS, _spec
 from test_metrics import assert_matches_naive_oracle, naive_ranks, random_many_to_many
 
 settings.register_profile("suite", deadline=None, max_examples=200)
@@ -442,3 +443,23 @@ def test_any_numeric_flag_value_exits_0_1_or_2(cli_corpus, run_and_flags):
         assert lines == []
     else:
         assert code == 1 and len(lines) == 1 and lines[0].startswith("error:")
+
+
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10**400), st.floats(), st.fractions(),
+    st.decimals(), st.complex_numbers(), st.text(max_size=4),
+    st.floats(width=32).map(np.float32), st.integers(-2**63, 2**63 - 1).map(np.int64),
+)
+anything = st.one_of(
+    scalars, st.lists(scalars, max_size=3),
+    st.dictionaries(st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=2)), scalars, max_size=3),
+)
+
+
+@given(st.sampled_from([stored for _, stored, _, _ in REAL_FIELDS] + [lambda x: _spec(ambiguity_weights=x)]),
+       anything)
+def test_any_object_as_a_real_parameter_builds_or_is_a_typed_error(stored, value):
+    """Every real parameter, and ambiguity_weights whole: never a bare
+    TypeError, ValueError or OverflowError."""
+    with contextlib.suppress(ProtoUQError):
+        stored(value)

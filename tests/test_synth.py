@@ -91,6 +91,11 @@ class TestSyntheticSpec:
         with pytest.raises(InvalidSpec):
             SyntheticSpec(**base)
 
+    def test_whole_float_level_refused(self):
+        # a level follows the integer rule, like n_items: 2.0 is not taken as 2
+        with pytest.raises(InvalidSpec, match="an ambiguity level must be an integer, got 2.0"):
+            SyntheticSpec(n_items=4, d=8, k_true=4, ambiguity_weights={2.0: 1.0})
+
     @pytest.mark.parametrize("name", ["n_items", "d", "k_true", "captions_per_item", "seed"])
     def test_counts_sizes_and_seed_are_integers(self, name):
         # operator.index: NumPy integers pass, a float is refused even when whole
@@ -130,6 +135,12 @@ class TestLatentDirections:
         rng = np.random.default_rng(92)
         q = latent_directions(8, 8, rng)
         assert np.abs(q @ q.T - np.eye(8)).max() < 1e-9
+
+    @pytest.mark.parametrize("k", [5, 0])
+    def test_k_outside_one_to_d_rejected(self, k):
+        # d = 3 has room for at most 3 orthonormal rows
+        with pytest.raises(InvalidSpec, match=rf"k must be in \[1, d=3\], got {k}"):
+            latent_directions(k, 3, np.random.default_rng(93))
 
 
 def reference_corpus_vectors(spec):

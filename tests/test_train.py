@@ -86,6 +86,12 @@ class TestInitPrototypes:
         with pytest.raises(DimensionTooSmall, match="d must be an integer, got 4.5"):
             init_prototypes(k=2, d=4.5, seed=0)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, None])
+    def test_seed_is_an_unsigned_integer(self, seed):
+        # None would draw an unseeded bank
+        with pytest.raises(InvalidConfig, match="seed must be"):
+            init_prototypes(k=2, d=4, seed=seed)
+
     def test_bank_beyond_numpy_rejected(self):
         with pytest.raises(InvalidConfig, match="exceeds NumPy's largest array"):
             init_prototypes(k=10**20, d=8, seed=0)

@@ -86,6 +86,29 @@ MUTANTS = (
     Mutant("overflow-rows-keep-zero", "src/protouq/train.py",
            "    slope[huge] = k / strength[huge] / strength[huge]\n", "",
            "rows whose S^2 overflows take K / S / S, not K / inf = 0"),
+    Mutant("tau-flag-sets-theta", "src/protouq/cli.py",
+           'p.add_argument("--tau", type=float', 'p.add_argument("--tau", dest="theta", type=float',
+           "each flag's dest is the name of the field it sets"),
+    Mutant("weights-no-metavar", "src/protouq/cli.py",
+           'dest="ambiguity_weights", metavar="WEIGHTS",', 'dest="ambiguity_weights",',
+           "--help keeps the flag spellings users know"),
+    Mutant("train-meta-drops-h-mapping", "src/protouq/cli.py",
+           'if f.name != "evidence"}', 'if f.name not in ("evidence", "h_mapping")}',
+           "train_meta records every TrainConfig field but the evidence config"),
+    Mutant("rerank-drops-beta2", "src/protouq/cli.py",
+           "params = RerankParams(beta1=beta1, beta2=beta2)", "params = RerankParams(beta1=beta1)",
+           "rerank applies the stored or given beta2"),
+    Mutant("real-accepts-non-finite", "src/protouq/embed.py",
+           "if not (math.isfinite(number) and (number > 0.0 if positive else number >= 0.0)):",
+           "if not (number > 0.0 if positive else number >= 0.0):",
+           "a real parameter is finite"),
+    Mutant("real-keeps-negative-zero", "src/protouq/embed.py",
+           "    return number + 0.0\n", "    return number\n",
+           "a real parameter of -0.0 is stored as +0.0"),
+    Mutant("level-accepts-whole-float", "src/protouq/synth.py",
+           '_integer(m, "an ambiguity level"',
+           '_integer(int(m) if isinstance(m, float) and m.is_integer() else m, "an ambiguity level"',
+           "an ambiguity level follows the integer rule: 2.0 is refused, not taken as 2"),
 )
 
 
