@@ -13,6 +13,7 @@ import csv
 import math
 import sys
 from dataclasses import fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -62,11 +63,19 @@ def _load_embeddings(path, modality):
 
 
 def _write_csv(path, header, rows):
-    """Write a header and any iterable of rows, streamed, as one atomic CSV."""
+    """Write a header and any iterable of rows, streamed, as one atomic CSV.
+
+    Each row is a sequence of str fields, written as one line: the fields
+    joined by "," and ended by csv.writer's "\r\n".  No field needs quoting:
+    each is a number, a repr of a float, a fixed word or ";"-joined integers,
+    none holding a comma, quote or line break, so the bytes are the ones
+    csv.writer writes, without its per-field work.  Rows are written one at
+    a time, so neither the file nor a batch of its lines is held in memory,
+    and the peak stays one row whatever the row count.
+    """
     with _atomic_write(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in chain((header,), rows):
+            fh.write(",".join(row) + "\r\n")
 
 
 def _summary(command: str, **values) -> None:
@@ -97,7 +106,7 @@ def _cmd_gen_synth(args) -> int:
             args.labels,
             ("item", "m", "semantics"),
             (
-                (i, m, ";".join(map(str, chosen)))
+                (str(i), str(m), ";".join(map(str, chosen)))
                 for i, (m, chosen) in enumerate(zip(labels.counts, labels.semantic_sets))
             ),
         )
@@ -144,7 +153,7 @@ def _cmd_train(args) -> int:
             args.out,
             ("epoch", "uct_v", "uct_t", "div_v", "div_t", "total"),
             (
-                (r.epoch, repr(r.uct_v), repr(r.uct_t), repr(r.div_v), repr(r.div_t), repr(r.total))
+                (str(r.epoch), repr(r.uct_v), repr(r.uct_t), repr(r.div_v), repr(r.div_t), repr(r.total))
                 for r in history.records
             ),
         )
@@ -173,7 +182,7 @@ def _cmd_score(args) -> int:
             scored.append((modality, u))
             summary[f"mean_u_{modality}"] = f"{u.mean():.6f}"
     if args.out:
-        rows = ((modality, i, repr(x)) for modality, u in scored for i, x in enumerate(u.tolist()))
+        rows = ((modality, str(i), repr(x)) for modality, u in scored for i, x in enumerate(u.tolist()))
         _write_csv(args.out, ("modality", "index", "uncertainty"), rows)
         summary["out"] = args.out
     _summary("score", n_scored=sum(u.size for _, u in scored), **summary)
@@ -325,7 +334,7 @@ def _cmd_analyze_removal(args) -> int:
         m, u_v, u_t, pairs, counts, mode=args.mode, seed=args.seed, side=args.side
     )
     rows = [
-        (curve.mode, p.removed, f"{p.r1_t2v:.4f}", f"{p.r1_v2t:.4f}")
+        (curve.mode, str(p.removed), f"{p.r1_t2v:.4f}", f"{p.r1_v2t:.4f}")
         for p in curve.points
     ]
     if args.out:

@@ -91,7 +91,11 @@ def fit_betas(m, u_v, u_t, pairs: PairSet, grid=DEFAULT_BETA_GRID) -> RerankPara
     the exhaustive sweep would see; this fit ranks them in their order
     before that rounding.
     """
-    candidates = sorted({_real(g, "a beta grid entry", InvalidConfig) for g in grid})
+    try:
+        entries = iter(grid)
+    except TypeError:
+        raise InvalidConfig(f"beta grid must be a sequence of numbers, got {grid!r}") from None
+    candidates = sorted({_real(g, "a beta grid entry", InvalidConfig) for g in entries})
     if not candidates:
         raise EmptyGrid("beta grid has no candidates")
     if 0.0 not in candidates:

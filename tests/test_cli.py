@@ -23,7 +23,9 @@ from protouq import (
     pearson,
     read_checkpoint,
     read_embeddings,
+    read_pairs,
     similarity_matrix,
+    train,
     uncertainty_scores,
     write_embeddings,
     write_pairs,
@@ -624,6 +626,21 @@ class TestStreaming:
         assert f"n_queries_t2v={n_text} n_queries_v2t={n_vision}" in capsys.readouterr().out
         assert peak < 8 * n_vision * n_text / 2
 
+    def test_out_matrix_peak_memory_is_about_one_block(self, tmp_path, capsys):
+        corpus, ckpt = make_corpus(tmp_path, 400, 8)
+        matrix_csv = tmp_path / "m.csv"
+        tracemalloc.start()
+        try:
+            assert run(["rerank", *corpus, "--ckpt", ckpt, "--out-matrix", str(matrix_csv)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_text = 800
+        assert matrix_csv.read_text().count("\n") == 1 + 400
+        # the CSV, about 20 bytes a cell, is twice the bound: no batch of
+        # lines, let alone the file, is held
+        assert peak < 2 * 8 * _ROW_BLOCK * n_text < matrix_csv.stat().st_size
+
     def test_out_matrix_past_one_block_is_byte_identical_to_dense_rerank(self, tmp_path):
         corpus, ckpt = make_corpus(tmp_path, 300, 8)
         matrix_csv = tmp_path / "m.csv"
@@ -650,13 +667,90 @@ class TestWriteCsv:
         path.write_text("old\n")
 
         def rows():
-            yield ("a", 1)
+            yield ("a", "1")
             raise ProtoUQError("row source failed")
 
         with pytest.raises(ProtoUQError):
             _write_csv(path, ("x", "y"), rows())
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 5000])
+    def test_rows_are_the_bytes_of_csv_writer(self, tmp_path, n_rows):
+        rows = [(str(i), repr(i / 7), ";".join(map(str, range(i % 4)))) for i in range(n_rows)]
+        _write_csv(tmp_path / "out.csv", ("i", "x", "s"), iter(rows))
+        assert (tmp_path / "out.csv").read_bytes() == csv_writer_bytes([("i", "x", "s"), *rows])
+
+
+def csv_writer_bytes(rows):
+    """rows as csv.writer writes them, UTF-8 encoded."""
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+# Every CSV the CLI writes: the command (paths of the pipeline fixture and
+# {tmp}/out.csv), the file, and its header.
+CLI_CSVS = {
+    "gen-synth-labels": (None, "labels", ["item", "m", "semantics"]),
+    "train-history": (None, "history", ["epoch", "uct_v", "uct_t", "div_v", "div_t", "total"]),
+    "score": (["score", "--ckpt", "{ckpt}", "--vis", "{vis}", "--txt", "{txt}", "--out", "{out}"],
+              "out", ["modality", "index", "uncertainty"]),
+    "rerank-out": (["rerank", "--ckpt", "{ckpt}", "{corpus}", "--fit-betas", "--out", "{out}"],
+                   "out", ["metric", "direction", "value"]),
+    "rerank-out-matrix": (["rerank", "--ckpt", "{ckpt}", "{corpus}", "--beta1", "1.5",
+                           "--out-matrix", "{out}"], "out", [f"t{j}" for j in range(80)]),
+    "evaluate": (["evaluate", "--ckpt", "{ckpt}", "{corpus}", "--out", "{out}"],
+                 "out", ["metric", "direction", "value"]),
+    "analyze-pcc": (["analyze", "pcc", "--ckpt", "{ckpt}", "{corpus}", "--labels", "{labels}",
+                     "--out", "{out}"], "out", ["metric", "modality", "value"]),
+    "analyze-removal-curve": (["analyze", "removal-curve", "--ckpt", "{ckpt}", "{corpus}",
+                               "--out", "{out}"], "out", ["mode", "removed", "r1_t2v", "r1_v2t"]),
+    "analyze-entropy-demo": (["analyze", "entropy-demo", "--out", "{out}"], "out", ["quantity", "value"]),
+}
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize("name", CLI_CSVS)
+    def test_each_cli_csv_is_the_bytes_of_csv_writer(self, pipeline, tmp_path, capsys, name):
+        argv, key, header = CLI_CSVS[name]
+        paths = {**pipeline, "out": str(tmp_path / "out.csv")}
+        if argv is not None:
+            filled = []
+            for arg in argv:
+                filled += corpus_args(pipeline) if arg == "{corpus}" else [arg.format(**paths)]
+            assert run(filled) == 0
+        with open(paths[key], newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == header and len(rows) > 1
+        assert Path(paths[key]).read_bytes() == csv_writer_bytes(rows)
+
+    def test_score_rows_are_the_library_scores(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "u.csv"
+        assert run(["score", "--ckpt", pipeline["ckpt"], "--vis", pipeline["vis"],
+                    "--txt", pipeline["txt"], "--out", str(out)]) == 0
+        ckpt = read_checkpoint(pipeline["ckpt"])
+        rows = [("modality", "index", "uncertainty")]
+        for modality, path, bank in (("vision", "vis", ckpt.bank_t), ("text", "txt", ckpt.bank_v)):
+            u = uncertainty_scores(read_embeddings(pipeline[path]), bank, ckpt.evidence)
+            rows += [(modality, i, repr(x)) for i, x in enumerate(u.tolist())]
+        assert out.read_bytes() == csv_writer_bytes(rows)
+
+    def test_history_rows_are_the_library_history(self, pipeline):
+        vis, txt = read_embeddings(pipeline["vis"]), read_embeddings(pipeline["txt"])
+        cfg = TrainConfig(epochs=3, k=4, batch_size=16, learning_rate=0.1, seed=5)
+        _, _, history = train(vis, txt, read_pairs(pipeline["pairs"]), cfg)
+        rows = [("epoch", "uct_v", "uct_t", "div_v", "div_t", "total")]
+        rows += [(r.epoch, repr(r.uct_v), repr(r.uct_t), repr(r.div_v), repr(r.div_t), repr(r.total))
+                 for r in history.records]
+        assert Path(pipeline["history"]).read_bytes() == csv_writer_bytes(rows)
+
+    def test_labels_rows_are_the_library_labels(self, pipeline):
+        _, _, _, labels = generate_corpus(SyntheticSpec(n_items=40, d=16, k_true=4, seed=3))
+        rows = [("item", "m", "semantics")]
+        rows += [(i, m, ";".join(map(str, chosen)))
+                 for i, (m, chosen) in enumerate(zip(labels.counts, labels.semantic_sets))]
+        assert Path(pipeline["labels"]).read_bytes() == csv_writer_bytes(rows)
 
 
 def corpus_args(pipeline):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from protouq import (
     Checkpoint,
+    EmbeddingSet,
     EvidenceConfig,
     PairSet,
     PrototypeBank,
@@ -34,6 +35,7 @@ from protouq.errors import (
     DuplicatePair,
     IndexOutOfRange,
     InvariantViolation,
+    ModalityMismatch,
     ParseError,
     TruncatedFile,
     UnsupportedVersion,
@@ -343,6 +345,63 @@ class TestEmbeddingsCsv:
         path.write_text("x0,x1\n")
         with pytest.raises(ParseError, match="no vector rows"):
             read_embeddings_csv(path, "vision")
+
+
+INGESTS = ["normalize_rows", "csv", "paue"]
+
+
+def ingested(tmp_path, ingest, raw, modality):
+    """The set one ingest path builds from raw's rows, and the float64 rows
+    it read: raw itself, or raw rounded to float32 for a PAUE file."""
+    if ingest == "normalize_rows":
+        return normalize_rows(raw, modality), raw
+    if ingest == "csv":
+        path = tmp_path / "e.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in raw.tolist()))
+        return read_embeddings_csv(path, modality), raw
+    path = tmp_path / "e.paue"
+    header = struct.pack("<4sHBQI", b"PAUE", 1, fileio._MODALITY_CODES[modality], *raw.shape)
+    path.write_bytes(header + raw.astype("<f4").tobytes())
+    return read_embeddings(path), raw.astype(np.float32).astype(np.float64)
+
+
+class TestIngestedSets:
+    """Every ingest path builds the set EmbeddingSet builds from the same
+    normalized rows, and rejects the rows it rejects."""
+
+    @pytest.mark.parametrize("n", [1, _ROW_BLOCK + 3])
+    @pytest.mark.parametrize("modality", ["vision", "text"])
+    @pytest.mark.parametrize("ingest", INGESTS)
+    def test_same_bits_and_flags_as_a_directly_built_set(self, tmp_path, ingest, modality, n):
+        rng = np.random.default_rng(n)
+        raw = rng.standard_normal((n, 5)) * rng.uniform(0.1, 10.0, (n, 1))
+        got, read = ingested(tmp_path, ingest, raw, modality)
+        direct = EmbeddingSet(modality=modality, vectors=read / np.linalg.norm(read, axis=1)[:, None])
+        assert type(got) is EmbeddingSet and got.modality == modality
+        for es in (got, direct):
+            assert es.vectors.dtype == np.float64
+            assert not es.vectors.flags.writeable and es.vectors.flags.c_contiguous
+        assert got.vectors.tobytes() == direct.vectors.tobytes()
+
+    @pytest.mark.parametrize("bad, error", [
+        (0.0, ZeroVector), (np.nan, InvariantViolation), (np.inf, InvariantViolation),
+    ])
+    @pytest.mark.parametrize("ingest", INGESTS)
+    def test_bad_row_is_still_rejected(self, tmp_path, ingest, bad, error):
+        raw = np.ones((3, 4))
+        raw[1] = bad
+        with pytest.raises(error, match="row 1 "):
+            ingested(tmp_path, ingest, raw, "vision")
+
+    @pytest.mark.parametrize("ingest", ["normalize_rows", "csv"])
+    def test_unknown_modality_is_still_rejected(self, tmp_path, ingest):
+        with pytest.raises(ModalityMismatch, match="unknown modality 'audio'"):
+            ingested(tmp_path, ingest, np.ones((2, 3)), "audio")
+
+    def test_a_direct_set_of_rows_off_unit_norm_is_still_rejected(self):
+        rows = unit_set(0, 3, 4).vectors * (1.0 + 1e-5)
+        with pytest.raises(InvariantViolation, match="unit norm"):
+            EmbeddingSet(modality="vision", vectors=rows)
 
 
 class TestPairsIO:

@@ -237,6 +237,12 @@ class TestFitBetas:
         with pytest.raises(InvalidConfig):
             fit_betas(m, u_v, u_t, pairs, grid=(0.0, -1.0))
 
+    @pytest.mark.parametrize("grid", [None, 0.5, 0])
+    def test_grid_that_is_not_a_sequence_rejected(self, grid):
+        m, u_v, u_t, pairs = hub_corpus()
+        with pytest.raises(InvalidConfig, match="beta grid must be a sequence of numbers"):
+            fit_betas(m, u_v, u_t, pairs, grid=grid)
+
     def test_nan_uncertainty_rejected(self):
         m, u_v, u_t, pairs = hub_corpus()
         u_v = u_v.copy()

@@ -17,9 +17,22 @@ def test_same_bytes_finds_a_tree_equal_to_itself():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "fit-val 0 same\n", "")
 
 
-def test_mutants_kills_one_mutant_with_one_test_file():
+def load_mutants():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
+    return mutants
+
+
+def test_mutants_kills_one_mutant_with_one_test_file():
+    mutants = load_mutants()
     (mutant,) = (m for m in mutants.MUTANTS if m.name == "softmax-no-shift")
     assert not mutants.run_in_copy(mutant, ["tests/test_metrics.py"])
+
+
+def test_a_mutant_only_a_property_test_kills_is_reported_killed():
+    # A failing Hypothesis test must be a plain pytest failure (exit 1), not
+    # an INTERNALERROR (exit 3) that run_in_copy raises on.
+    mutants = load_mutants()
+    (mutant,) = (m for m in mutants.MUTANTS if m.name == "jsd-midpoint-order")
+    assert not mutants.run_in_copy(mutant, ["tests/test_property_based.py::test_jsd_symmetric_and_bounded"])

@@ -109,6 +109,18 @@ MUTANTS = (
            '_integer(m, "an ambiguity level"',
            '_integer(int(m) if isinstance(m, float) and m.is_integer() else m, "an ambiguity level"',
            "an ambiguity level follows the integer rule: 2.0 is refused, not taken as 2"),
+    Mutant("normalized-no-division", "src/protouq/embed.py",
+           "    raw /= norms[:, None]\n", "",
+           "an ingested set's rows are divided by their norms before EmbeddingSet checks them"),
+    Mutant("csv-lines-end-in-lf", "src/protouq/cli.py",
+           'fh.write(",".join(row) + "\\r\\n")', 'fh.write(",".join(row) + "\\n")',
+           "every CLI CSV line ends in csv.writer's \\r\\n"),
+    Mutant("csv-drops-header", "src/protouq/cli.py",
+           "for row in chain((header,), rows):", "for row in rows:",
+           "every CLI CSV starts with its header"),
+    Mutant("jsd-midpoint-order", "src/protouq/metrics.py",
+           "    mid = 0.5 * (a + b)\n", "    mid = a + 0.5 * (b - a)\n",
+           "jsd(p, q) == jsd(q, p) bit for bit; only a property test feeds it enough pairs"),
 )
 
 
