@@ -61,6 +61,21 @@ def _real(value, name: str, error, positive=False) -> float:
     return number + 0.0
 
 
+def _reals(values, name: str, error, nonnegative=False) -> np.ndarray:
+    """values flattened to a float64 vector, which may share their memory, of finite
+    numbers (>= 0 when nonnegative), else error: the one rule for real vectors."""
+    out = _as_float_matrix(values, error, ndim=None).ravel()
+    if not np.isfinite(out).all() or nonnegative and (out < 0.0).any():
+        raise error(f"{name} must be finite{' and nonnegative' if nonnegative else ''}")
+    return out
+
+
+def _pow2_scaled(x: np.ndarray) -> np.ndarray:
+    """x times the power of two that brings its largest magnitude into [0.5, 1):
+    exact, so no square of it overflows and a ratio of its dot products keeps its bits."""
+    return np.ldexp(x, -np.frexp(np.abs(x).max(initial=0.0))[1])
+
+
 def _freeze(obj, name: str, array: np.ndarray) -> None:
     """Set frozen dataclass obj's field name to array, C-contiguous and read-only."""
     array = np.ascontiguousarray(array)
@@ -68,10 +83,15 @@ def _freeze(obj, name: str, array: np.ndarray) -> None:
     object.__setattr__(obj, name, array)
 
 
-def _as_float_matrix(matrix) -> np.ndarray:
-    out = np.asarray(matrix, dtype=np.float64)
-    if out.ndim != 2:
-        raise InvariantViolation(f"expected a 2-D array, got ndim={out.ndim}")
+def _as_float_matrix(matrix, error=InvariantViolation, ndim=2, copy=False) -> np.ndarray:
+    """matrix as a float64 array of ndim axes (any if None), new if copy: the one conversion
+    of array arguments.  Anything NumPy cannot read as float64, such as ragged rows, is error."""
+    try:
+        out = (np.array if copy else np.asarray)(matrix, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"expected an array of numbers: {exc}") from None
+    if ndim is not None and out.ndim != ndim:
+        raise error(f"expected a {ndim}-D array, got ndim={out.ndim}")
     return out
 
 
@@ -164,9 +184,10 @@ def normalize_rows(matrix, modality: str) -> EmbeddingSet:
     Raises:
         ZeroVector: a row has norm below 1e-12 and cannot be normalized.
         DimensionTooSmall: d < 2.
-        InvariantViolation: an entry is NaN or infinite, or a row norm overflows.
+        InvariantViolation: an entry is NaN, infinite or not a number, or a
+            row norm overflows.
     """
-    return _normalized(np.array(matrix, dtype=np.float64), modality)
+    return _normalized(_as_float_matrix(matrix, copy=True), modality)
 
 
 def _normalized(raw: np.ndarray, modality: str) -> EmbeddingSet:
@@ -181,14 +202,14 @@ def _normalized(raw: np.ndarray, modality: str) -> EmbeddingSet:
 
 
 def cosine(u, v) -> float:
-    """Cosine similarity of two vectors, clamped to [-1, 1]."""
-    a = np.asarray(u, dtype=np.float64).ravel()
-    b = np.asarray(v, dtype=np.float64).ravel()
+    """Cosine similarity of two vectors, clamped to [-1, 1], for any finite
+    entries.  A NaN, infinite or non-numeric entry raises InvariantViolation."""
+    a, b = (_pow2_scaled(_reals(x, "vector entries", InvariantViolation)) for x in (u, v))
     if a.shape != b.shape:
         raise DimensionMismatch(f"vector lengths differ: {a.shape[0]} vs {b.shape[0]}")
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
-    if na < _NORM_EPS or nb < _NORM_EPS:
+    if na == 0.0 or nb == 0.0:
         raise ZeroVector("cosine is undefined for a zero vector")
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
@@ -249,7 +270,7 @@ def _block_source(m):
     read-only view of m, so the caller's array stays writable."""
     if isinstance(m, (SimilarityMatrix, _SimilarityBlocks)):
         return m
-    return SimilarityMatrix(values=np.asarray(m, dtype=np.float64).view())
+    return SimilarityMatrix(values=_as_float_matrix(m).view())
 
 
 def similarity_matrix(vis: EmbeddingSet, txt: EmbeddingSet) -> SimilarityMatrix:

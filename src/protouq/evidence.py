@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import _NORM_EPS, MODALITIES, EmbeddingSet, _checked_rows, _freeze, _real
+from .embed import _NORM_EPS, MODALITIES, EmbeddingSet, _checked_rows, _freeze, _real, _reals
 from .errors import (
     DimensionMismatch,
     EmptyVector,
@@ -180,14 +180,11 @@ def dirichlet_from_evidence(e) -> DirichletState:
 
     Raises:
         EmptyVector: e has no entries.
-        NegativeEvidence: an entry is negative or not finite.
+        NegativeEvidence: an entry is negative, NaN, infinite or not a number.
     """
-    evidence = np.asarray(e, dtype=np.float64).ravel()
+    evidence = _reals(e, "evidence entries", NegativeEvidence, nonnegative=True).copy()
     if evidence.size == 0:
         raise EmptyVector("evidence vector has no entries")
-    if not np.all(np.isfinite(evidence)) or np.any(evidence < 0.0):
-        raise NegativeEvidence("evidence entries must be finite and nonnegative")
-    evidence = evidence.copy()
     alpha = evidence + 1.0
     u, strength = dirichlet_uncertainty(evidence)
     beliefs = evidence / strength

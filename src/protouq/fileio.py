@@ -115,6 +115,8 @@ class _Cursor:
         signaling NaN becomes a quiet NaN without a RuntimeWarning, for the
         row checks to reject."""
         self._advance(4 * n * d)
+        if 8 * n > np.iinfo(np.intp).max:  # rows of width 0 take no bytes, however many
+            raise InvariantViolation(f"{self.path}: {n} rows exceed NumPy's largest array")
         matrix = np.empty((n, d))
         buffer = np.empty((min(n, _ROW_BLOCK), d), dtype="<f4")
         with np.errstate(invalid="ignore"):

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import _ROW_BLOCK, PairSet, _block_source, _integer
+from .embed import _ROW_BLOCK, PairSet, _block_source, _integer, _pow2_scaled, _reals
 from .errors import (
     EmptyVector,
     InvalidConfig,
     InvalidCounts,
+    InvariantViolation,
     LengthMismatch,
     NotADistribution,
     TooManyRemoved,
@@ -59,15 +60,12 @@ def _similarities_and_uncertainties(m, u_v, u_t):
     """m as a block source, then u_v and u_t as float vectors with one
     finite, nonnegative entry per vision row and per text column."""
     source = _block_source(m)
-    u_v = np.asarray(u_v, dtype=np.float64).ravel()
-    u_t = np.asarray(u_t, dtype=np.float64).ravel()
+    u_v, u_t = (_reals(u, "uncertainties", InvalidConfig, nonnegative=True) for u in (u_v, u_t))
     if (u_v.size, u_t.size) != source.shape:
         raise LengthMismatch(
             f"uncertainty lengths ({u_v.size}, {u_t.size}) "
             f"do not match matrix shape {source.shape}"
         )
-    if not all(np.all(np.isfinite(u) & (u >= 0.0)) for u in (u_v, u_t)):
-        raise InvalidConfig("uncertainties must be finite and nonnegative")
     return source, u_v, u_t
 
 
@@ -251,9 +249,9 @@ def retrieval_reports(m, pairs: PairSet) -> list[RetrievalReport]:
 
 
 def pearson(x, y) -> float:
-    """Sample Pearson correlation, clamped to [-1, 1]."""
-    a = np.asarray(x, dtype=np.float64).ravel()
-    b = np.asarray(y, dtype=np.float64).ravel()
+    """Sample Pearson correlation, clamped to [-1, 1], for any finite
+    observations.  A NaN, infinite or non-numeric one raises InvariantViolation."""
+    a, b = (_pow2_scaled(_reals(v, "observations", InvariantViolation)) for v in (x, y))
     if a.shape != b.shape:
         raise LengthMismatch(f"lengths differ: {a.shape[0]} vs {b.shape[0]}")
     if a.size < 2:
@@ -358,32 +356,31 @@ def removal_curve(
 # ---- information measures ----
 
 
-def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
-    if p.size == 0:
+def _distribution(p, name: str) -> np.ndarray:
+    """p as a float vector of finite, nonnegative entries that sum to 1."""
+    arr = _reals(p, name, NotADistribution, nonnegative=True)
+    if arr.size == 0:
         raise EmptyVector(f"{name} has no entries")
-    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
-        raise NotADistribution(f"{name} has negative or non-finite entries")
-    total = float(p.sum())
+    total = float(arr.sum())
     if abs(total - 1.0) > _DIST_TOL:
         raise NotADistribution(f"{name} sums to {total}, not 1")
-    return p
+    return arr
 
 
 def entropy(p) -> float:
-    """Shannon entropy in nats, with 0 log 0 taken as 0."""
-    arr = _check_distribution(np.asarray(p, dtype=np.float64).ravel(), "p")
+    """Shannon entropy in nats, with 0 log 0 taken as 0.  A negative, NaN,
+    infinite or non-numeric entry raises NotADistribution."""
+    arr = _distribution(p, "p")
     nz = arr[arr > 0.0]
     return float(-np.sum(nz * np.log(nz)))
 
 
 def jsd(p, q) -> float:
-    """Jensen-Shannon divergence in bits; symmetric and within [0, 1]."""
-    a = np.asarray(p, dtype=np.float64).ravel()
-    b = np.asarray(q, dtype=np.float64).ravel()
+    """Jensen-Shannon divergence in bits; symmetric and within [0, 1].  A
+    negative, NaN, infinite or non-numeric entry raises NotADistribution."""
+    a, b = _distribution(p, "p"), _distribution(q, "q")
     if a.shape != b.shape:
         raise LengthMismatch(f"lengths differ: {a.shape[0]} vs {b.shape[0]}")
-    a = _check_distribution(a, "p")
-    b = _check_distribution(b, "q")
     mid = 0.5 * (a + b)
 
     def _kl_to_mid(x: np.ndarray) -> float:
@@ -394,11 +391,13 @@ def jsd(p, q) -> float:
 
 
 def softmax(logits) -> np.ndarray:
-    """Stable softmax of a 1-D array of logits."""
-    arr = np.asarray(logits, dtype=np.float64).ravel()
+    """Stable softmax of a 1-D array of logits, for any finite ones.  A NaN,
+    infinite or non-numeric logit raises InvariantViolation."""
+    arr = _reals(logits, "logits", InvariantViolation)
     if arr.size == 0:
         raise EmptyVector("softmax of an empty vector is undefined")
-    shifted = arr - arr.max()
+    with np.errstate(over="ignore"):  # a logit more than 1.8e308 below the max has weight 0
+        shifted = arr - arr.max()
     e = np.exp(shifted)
     return e / e.sum()
 

@@ -83,8 +83,13 @@ class AmbiguityLabels:
         if len(self.counts) != len(self.semantic_sets):
             raise InvalidSpec("counts and semantic_sets disagree in length")
         for m, chosen in zip(self.counts, self.semantic_sets):
-            if m < 1 or len(chosen) != m or len(set(chosen)) != m:
-                raise InvalidSpec(f"semantic set {chosen} does not match m={m}")
+            m = _integer(m, "a semantic count", InvalidSpec, 1)
+            try:
+                if len(chosen) == m == len(set(chosen)):
+                    continue
+            except TypeError:  # not a sequence, or of unhashable members
+                pass
+            raise InvalidSpec(f"semantic set {chosen} does not match m={m}")
 
 
 def latent_directions(k: int, d: int, rng: np.random.Generator) -> np.ndarray:

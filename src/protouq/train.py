@@ -27,6 +27,7 @@ from .embed import (
     _grouped,
     _integer,
     _real,
+    _reals,
 )
 from .errors import (
     DimensionMismatch,
@@ -142,9 +143,9 @@ def _uct_value(u: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def loss_uct(u: np.ndarray, h: np.ndarray) -> float:
-    """Mean squared error between uncertainties and their targets."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    h = np.asarray(h, dtype=np.float64).ravel()
+    """Mean squared error between uncertainties and their targets.  A NaN,
+    infinite or non-numeric entry raises InvariantViolation."""
+    u, h = (_reals(x, "u and h", InvariantViolation) for x in (u, h))
     if u.shape != h.shape:
         raise LengthMismatch(f"lengths differ: {u.shape[0]} vs {h.shape[0]}")
     if u.size == 0:

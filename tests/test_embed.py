@@ -1,4 +1,4 @@
-"""Embedding sets, cosine similarity, pair bookkeeping, and the real-parameter rule."""
+"""Embedding sets, cosine similarity, pair bookkeeping, and the real-parameter and real-array rules."""
 
 import math
 
@@ -15,11 +15,21 @@ from protouq import (
     SimilarityMatrix,
     SyntheticSpec,
     TrainConfig,
+    apply_rerank,
     batch_means,
     cosine,
+    dirichlet_from_evidence,
+    entropy,
+    evaluate_reranked,
     fit_betas,
+    jsd,
+    loss_uct,
     normalize_rows,
+    pearson,
+    removal_curve,
+    retrieval_ranks,
     similarity_matrix,
+    softmax,
 )
 from protouq.embed import _ROW_BLOCK
 from protouq.errors import (
@@ -33,6 +43,8 @@ from protouq.errors import (
     InvariantViolation,
     MissingPositive,
     ModalityMismatch,
+    NegativeEvidence,
+    NotADistribution,
     ZeroVector,
 )
 
@@ -375,3 +387,46 @@ class TestRealRule:
         for good in (np.float64(0.5),) if positive else (-0.0, np.float64(-0.0)):
             got = stored(good)
             assert type(got) is float and got == good and math.copysign(1.0, got) == 1.0
+
+
+_M = [[0.9, 0.1], [0.2, 0.8]]
+_U = [0.1, 0.2]
+_PAIRS = PairSet(pairs=((0, 0), (1, 1)))
+_UNIT = [[1.0, 0.0], [0.0, 1.0]]
+
+# Public entry points that take a real array: (name, the call with x as
+# that array, a valid x, the error any bad x raises).
+ARRAY_ARGUMENTS = [
+    ("cosine", lambda x: cosine(x, [1.0, 0.0]), [0.5, 0.5], InvariantViolation),
+    ("pearson", lambda x: pearson(x, [1.0, 2.0, 3.0]), [1.0, 2.0, 4.0], InvariantViolation),
+    ("entropy", entropy, [0.5, 0.5], NotADistribution),
+    ("jsd", lambda x: jsd(x, [0.5, 0.5]), [0.5, 0.5], NotADistribution),
+    ("softmax", softmax, [0.0, 1.0], InvariantViolation),
+    ("dirichlet_from_evidence", dirichlet_from_evidence, [1.0, 2.0], NegativeEvidence),
+    ("loss_uct", lambda x: loss_uct(x, [0.1, 0.2]), [0.1, 0.2], InvariantViolation),
+    ("normalize_rows", lambda x: normalize_rows(x, VISION), _UNIT, InvariantViolation),
+    ("EmbeddingSet", lambda x: EmbeddingSet(modality=VISION, vectors=x), _UNIT, InvariantViolation),
+    ("SimilarityMatrix", lambda x: SimilarityMatrix(values=x), _M, InvariantViolation),
+    ("removal_curve_u", lambda x: removal_curve(_M, x, _U, _PAIRS, [1]), _U, InvalidConfig),
+    ("evaluate_reranked_u", lambda x: evaluate_reranked(_M, _U, x, _PAIRS, RerankParams()), _U,
+     InvalidConfig),
+    ("fit_betas_u", lambda x: fit_betas(_M, x, _U, _PAIRS), _U, InvalidConfig),
+    ("apply_rerank_m", lambda x: apply_rerank(x, _U, _U, RerankParams()), _M, InvariantViolation),
+    ("retrieval_ranks_m", lambda x: retrieval_ranks(x, _PAIRS, "t2v"), _M, InvariantViolation),
+]
+
+
+class TestArrayRule:
+    @pytest.mark.parametrize("name, call, valid, error", ARRAY_ARGUMENTS, ids=[a[0] for a in ARRAY_ARGUMENTS])
+    def test_each_bad_array_is_its_typed_error(self, name, call, valid, error):
+        # pytest turns warnings into errors, so a RuntimeWarning fails here too
+        call(valid)
+        ragged = [[1.0, 2.0], [3.0]] if np.ndim(valid) == 2 else [1.0, [2.0, 3.0]]
+        for bad in ("abc", ragged, None):
+            with pytest.raises(error):
+                call(bad)
+        for value in (math.nan, math.inf, -math.inf):
+            x = np.array(valid)
+            x.flat[-1] = value
+            with pytest.raises(error):
+                call(x)

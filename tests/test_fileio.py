@@ -162,6 +162,10 @@ class TestEmbeddingsIO:
         patched(path, 7, struct.pack("<QI", 2**40, 0))
         with pytest.raises(DimensionTooSmall):
             read_embeddings(path)
+        # Past 2**60 rows NumPy cannot build even an (n, 0) float64 array.
+        patched(path, 7, struct.pack("<QI", 2**64 - 1, 0))
+        with pytest.raises(InvariantViolation, match="rows exceed NumPy's largest array"):
+            read_embeddings(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "e.paue"

@@ -40,6 +40,7 @@ from protouq import (
 )
 from protouq.cli import run
 from protouq.embed import _ROW_BLOCK
+from protouq.errors import InvariantViolation, ZeroVariance, ZeroVector
 from protouq.metrics import DIRECTIONS, _report
 from test_embed import REAL_FIELDS, _spec
 from test_metrics import assert_matches_naive_oracle, naive_ranks, random_many_to_many
@@ -92,6 +93,32 @@ def test_exponential_evidence_ignores_order(sims, rnd):
     u = dirichlet_from_evidence(generate_evidence(s, cfg)).u
     u_perm = dirichlet_from_evidence(generate_evidence(s[perm], cfg)).u
     assert u_perm == pytest.approx(u, rel=1e-12)
+
+
+@given(
+    st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                       st.floats(allow_nan=False, allow_infinity=False)), min_size=2, max_size=16),
+    st.data(),
+)
+def test_cosine_pearson_and_softmax_take_any_finite_entries(rows, data):
+    """Over every finite float, subnormals and +-1.8e308 included: cosine and
+    pearson lie in [-1, 1], or name the zero or constant vector they refuse, and
+    softmax sums to 1.  One NaN or infinite entry is an InvariantViolation."""
+    x, y = (np.array(column) for column in zip(*rows))
+    try:
+        assert -1.0 <= cosine(x, y) <= 1.0
+    except ZeroVector:
+        assert not (x.any() and y.any())
+    try:
+        assert -1.0 <= pearson(x, y) <= 1.0
+    except ZeroVariance:
+        assert (x == x[0]).all() or (y == y[0]).all()
+    assert softmax(x).sum() == pytest.approx(1.0, abs=1e-12)
+    bad = x.copy()
+    bad[data.draw(st.integers(0, bad.size - 1))] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    for call in (lambda v: cosine(v, y), lambda v: pearson(y, v), softmax):
+        with pytest.raises(InvariantViolation):
+            call(bad)
 
 
 @given(st.integers(min_value=2, max_value=32), st.randoms(use_true_random=False))

@@ -118,6 +118,13 @@ class TestAmbiguityLabels:
         with pytest.raises(InvalidSpec):
             AmbiguityLabels(counts=(2,), semantic_sets=((3, 3),))
 
+    def test_counts_are_integers_and_sets_are_sequences(self):
+        with pytest.raises(InvalidSpec, match="a semantic count must be an integer"):
+            AmbiguityLabels(counts=("a",), semantic_sets=((1,),))
+        for sets in ((1,), ([[1]],)):
+            with pytest.raises(InvalidSpec, match="does not match m=1"):
+                AmbiguityLabels(counts=(1,), semantic_sets=sets)
+
 
 class TestLatentDirections:
     def test_rows_are_orthonormal(self):

@@ -24,6 +24,13 @@ def load_mutants():
     return mutants
 
 
+def test_each_mutant_names_a_test_that_exists():
+    mutants = load_mutants()
+    for mutant in mutants.MUTANTS:
+        path, *_, test = mutant.killed_by.split("::")
+        assert f"def {test.split('[')[0]}(" in (ROOT / path).read_text(), mutant.name
+
+
 def test_mutants_kills_one_mutant_with_one_test_file():
     mutants = load_mutants()
     (mutant,) = (m for m in mutants.MUTANTS if m.name == "softmax-no-shift")
