@@ -85,9 +85,13 @@ def _freeze(obj, name: str, array: np.ndarray) -> None:
 
 def _as_float_matrix(matrix, error=InvariantViolation, ndim=2, copy=False) -> np.ndarray:
     """matrix as a float64 array of ndim axes (any if None), new if copy: the one conversion
-    of array arguments.  Anything NumPy cannot read as float64, such as ragged rows, is error."""
+    of array arguments.  A str or bytes entry, numeric or not, and anything else NumPy cannot
+    read as float64, such as ragged rows, is error."""
     try:
-        out = (np.array if copy else np.asarray)(matrix, dtype=np.float64)
+        raw = np.asarray(matrix)
+        if raw.dtype.kind in "SUO" and any(isinstance(x, str | bytes) for x in raw.flat):
+            raise TypeError("a string is not a number")
+        out = (np.array if copy else np.asarray)(raw, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"expected an array of numbers: {exc}") from None
     if ndim is not None and out.ndim != ndim:

@@ -176,7 +176,9 @@ def dirichlet_from_evidence(e) -> DirichletState:
     alpha = e + 1, S = sum(alpha), b = e / S, psi = K / S, u = 1 - psi.
     The masses satisfy sum(b) + psi = 1 with every component nonnegative,
     and u is in [0, 1) up to the float64 limit dirichlet_uncertainty
-    documents (u == 1.0 from S >= K * 2**54), with K = len(e).
+    documents (u == 1.0 from S >= K * 2**54), with K = len(e).  Finite
+    evidence whose sum passes float64 saturates, with no warning: S = inf,
+    u = 1.0, and every mass (each b and psi) is 0.
 
     Raises:
         EmptyVector: e has no entries.
@@ -186,7 +188,8 @@ def dirichlet_from_evidence(e) -> DirichletState:
     if evidence.size == 0:
         raise EmptyVector("evidence vector has no entries")
     alpha = evidence + 1.0
-    u, strength = dirichlet_uncertainty(evidence)
+    with np.errstate(over="ignore"):
+        u, strength = dirichlet_uncertainty(evidence)
     beliefs = evidence / strength
     return DirichletState(
         evidence=evidence,

@@ -164,53 +164,56 @@ class _BestPositiveRanks:
             )
 
 
-def _rescale(block, start, row, col, out=None) -> np.ndarray:
-    """Rows start, start + 1, ... of a matrix, scaled the way apply_rerank
-    scales the whole matrix, (m * row) * col, into out (a new array if
-    None); a factor that is None is left out, and with neither the block
-    itself is returned."""
+def _scaled(values, row, col, at_row, at_col, out=None) -> np.ndarray:
+    """(values * row[at_row]) * col[at_col] into out (a new array if None),
+    leaving out a factor that is None: the re-ranking's one product order."""
     if row is not None:
-        block = out = np.multiply(block, row[start:start + len(block), None], out=out)
-    return block if col is None else np.multiply(block, col, out=out)
+        values = out = np.multiply(values, row[at_row], out=out)
+    return values if col is None else np.multiply(values, col[at_col], out=out)
+
+
+def _scaled_blocks(source, factors):
+    """(start, i, block) for every block of source and every (row, col) in
+    factors: those rows of m scaled as apply_rerank scales m, (m * row) *
+    col.  It is the only code that scales a similarity block.
+
+    Every factor but the last scales the unscaled block into one scratch
+    block, allocated once and only if some factor needs it; the last scales
+    a writable block in place, as nothing reads the block after it.  A
+    read-only block is never written, and (None, None) yields the block
+    itself.  A yielded block is valid until the next one is asked for.
+    """
+    scratch = None
+    for start, block in source.blocks():
+        at_rows = np.s_[start:start + len(block), None]
+        for i, (row, col) in enumerate(factors):
+            out = block
+            if (row is not None or col is not None) and (i < len(factors) - 1 or not block.flags.writeable):
+                if scratch is None:
+                    scratch = np.empty((min(source.shape[0], _ROW_BLOCK), source.shape[1]))
+                out = scratch[:len(block)]
+            yield start, i, _scaled(block, row, col, at_rows, slice(None), out)
 
 
 def _rankings(m, pairs: PairSet, groups) -> list[list[_BestPositiveRanks]]:
     """The rankings of every group, from a pair-score pass and one ranking
-    pass; the only code that ranks blocks.
+    pass over _scaled_blocks; the only code that ranks blocks.
 
-    A group is (row, col, specs): factors that scale m the way apply_rerank
-    does, (m * row) * col, either None for no factor, and the (direction,
-    keep) of each ranking of the scaled m.  Its rankings start from the
-    pair scores scaled the same way, so each best positive holds the bits
-    of its scaled block entry.  Each group scales each block once, into one
-    scratch block, except the last, which scales a writable block in place
-    because nothing reads the block after it.
+    A group is (row, col, specs): the factors of one _scaled_blocks scaling
+    of m and the (direction, keep) of each ranking of the scaled m.  Its
+    rankings start from the pair scores scaled by _scaled the same way, so
+    each best positive holds the bits of its scaled block entry.
     """
     source = _block_source(m)
     pairs.check_against(*source.shape)
     scores = _pair_scores(source, pairs)
-    vs, ts = pairs.vision_indices, pairs.text_indices
     rankings = []
     for row, col, specs in groups:
-        scaled = scores if row is None else scores * row[vs]
-        if col is not None:
-            scaled = scaled * col[ts]
-        rankings.append(
-            [_BestPositiveRanks(d, source.shape, pairs, scaled, keep) for d, keep in specs]
-        )
-    scratch = None
-    for start, block in source.blocks():
-        for i, ((row, col, _), group) in enumerate(zip(groups, rankings)):
-            out = block
-            if (row is not None or col is not None) and (
-                i < len(groups) - 1 or not block.flags.writeable
-            ):
-                if scratch is None:
-                    scratch = np.empty((min(source.shape[0], _ROW_BLOCK), source.shape[1]))
-                out = scratch[:len(block)]
-            scaled = _rescale(block, start, row, col, out)
-            for ranking in group:
-                ranking.add(start, scaled)
+        scaled = _scaled(scores, row, col, pairs.vision_indices, pairs.text_indices)
+        rankings.append([_BestPositiveRanks(d, source.shape, pairs, scaled, keep) for d, keep in specs])
+    for start, i, block in _scaled_blocks(source, [(row, col) for row, col, _ in groups]):
+        for ranking in rankings[i]:
+            ranking.add(start, block)
     return rankings
 
 

@@ -20,7 +20,7 @@ from .metrics import (
     V2T,
     _rankings,
     _report,
-    _rescale,
+    _scaled_blocks,
     _similarities_and_uncertainties,
 )
 
@@ -35,12 +35,9 @@ def _scales(u_v, u_t, params: RerankParams):
 
 def _reranked_rows(m, u_v, u_t, params: RerankParams):
     """(start, rows) of apply_rerank(m, u_v, u_t, params), one block of
-    vision rows at a time."""
+    vision rows at a time, each valid until the next is asked for."""
     source, u_v, u_t = _similarities_and_uncertainties(m, u_v, u_t)
-    row, col = _scales(u_v, u_t, params)
-    for start, block in source.blocks():
-        # in place in a writable block, into a new array for a read-only view
-        yield start, _rescale(block, start, row, col, block if block.flags.writeable else None)
+    return ((start, rows) for start, _, rows in _scaled_blocks(source, [_scales(u_v, u_t, params)]))
 
 
 def apply_rerank(m, u_v, u_t, params: RerankParams) -> SimilarityMatrix:
@@ -59,8 +56,7 @@ def apply_rerank(m, u_v, u_t, params: RerankParams) -> SimilarityMatrix:
 def evaluate_reranked(m, u_v, u_t, pairs: PairSet, params: RerankParams):
     """retrieval_reports of m and of apply_rerank(m, u_v, u_t, params),
     without building either matrix: two groups of _rankings, so each block
-    is ranked, then scaled (in place when it is writable, else into one
-    scratch block) and ranked again.
+    is ranked, then scaled and ranked again.
 
     Returns (before, after): lists of one RetrievalReport per direction, in
     DIRECTIONS order.
@@ -82,8 +78,7 @@ def fit_betas(m, u_v, u_t, pairs: PairSet, grid=DEFAULT_BETA_GRID) -> RerankPara
     factor scales its whole gallery alike, so t2v ranks depend on beta1 only;
     likewise v2t ranks depend on beta2 only.  So each beta is swept alone
     with the other at 0, and every grid beta of both axes is one group of
-    _rankings, which scales each block into one scratch block per nonzero
-    beta: a pair-score pass, then one ranking pass, whatever the grid size.
+    _rankings: a pair-score pass, then one ranking pass, whatever the grid size.
     A hit is a rank of 1.  Each axis takes its smallest best beta, the pair an
     exhaustive ascending sweep with strict improvement picks; the grid must
     contain 0 so that the baseline (0, 0) is a candidate.  Caveat: the

@@ -144,13 +144,15 @@ def _uct_value(u: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def loss_uct(u: np.ndarray, h: np.ndarray) -> float:
     """Mean squared error between uncertainties and their targets.  A NaN,
-    infinite or non-numeric entry raises InvariantViolation."""
+    infinite or non-numeric entry raises InvariantViolation; finite entries
+    whose squared gap passes float64 give inf, with no warning."""
     u, h = (_reals(x, "u and h", InvariantViolation) for x in (u, h))
     if u.shape != h.shape:
         raise LengthMismatch(f"lengths differ: {u.shape[0]} vs {h.shape[0]}")
     if u.size == 0:
         raise LengthMismatch("loss over zero instances is undefined")
-    return float(_uct_value(u, h)[0])
+    with np.errstate(over="ignore"):
+        return float(_uct_value(u, h)[0])
 
 
 def _div_value(vectors: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -641,10 +641,13 @@ class TestStreaming:
         # lines, let alone the file, is held
         assert peak < 2 * 8 * _ROW_BLOCK * n_text < matrix_csv.stat().st_size
 
-    def test_out_matrix_past_one_block_is_byte_identical_to_dense_rerank(self, tmp_path):
+    @pytest.mark.parametrize("beta1, beta2", [(1.5, 0.0), (0.0, 0.75), (1.5, 0.75)],
+                             ids=["row", "column", "both"])
+    def test_out_matrix_past_one_block_is_byte_identical_to_dense_rerank(self, tmp_path, beta1, beta2):
         corpus, ckpt = make_corpus(tmp_path, 300, 8)
         matrix_csv = tmp_path / "m.csv"
-        assert run(["rerank", *corpus, "--ckpt", ckpt, "--out-matrix", str(matrix_csv)]) == 0
+        assert run(["rerank", *corpus, "--ckpt", ckpt, "--out-matrix", str(matrix_csv),
+                    "--beta1", str(beta1), "--beta2", str(beta2)]) == 0
         model = read_checkpoint(ckpt)
         vis, txt = read_embeddings(corpus[1]), read_embeddings(corpus[3])
         assert vis.n > _ROW_BLOCK
@@ -652,7 +655,7 @@ class TestStreaming:
             similarity_matrix(vis, txt),
             uncertainty_scores(vis, model.bank_t, model.evidence),
             uncertainty_scores(txt, model.bank_v, model.evidence),
-            model.rerank,
+            RerankParams(beta1=beta1, beta2=beta2),
         )
         want = io.StringIO(newline="")
         writer = csv.writer(want)

@@ -422,7 +422,7 @@ class TestArrayRule:
         # pytest turns warnings into errors, so a RuntimeWarning fails here too
         call(valid)
         ragged = [[1.0, 2.0], [3.0]] if np.ndim(valid) == 2 else [1.0, [2.0, 3.0]]
-        for bad in ("abc", ragged, None):
+        for bad in ("abc", ragged, None, np.array(valid).astype(str)):
             with pytest.raises(error):
                 call(bad)
         for value in (math.nan, math.inf, -math.inf):

@@ -149,6 +149,10 @@ class TestDirichletFromEvidence:
             assert abs(state.psi + state.beliefs.sum() - 1.0) < 1e-9
             assert abs(state.u - (1.0 - state.k / state.strength)) < 1e-9
             assert 0.0 <= state.u < 1.0
+        # finite evidence whose sum passes float64 saturates, with no warning
+        state = dirichlet_from_evidence([1e308, 1e308])
+        assert (state.strength, state.u, state.psi) == (math.inf, 1.0, 0.0)
+        assert state.beliefs.tolist() == [0.0, 0.0]
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyVector):

@@ -70,6 +70,21 @@ class TestApplyRerank:
                 want = math.exp(-0.75 * u_v[i]) * math.exp(-2.5 * u_t[j]) * values[i, j]
                 assert out.values[i, j] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("beta1, beta2", [(1.5, 0.0), (0.0, 0.75), (1.5, 0.75)],
+                             ids=["row", "column", "both"])
+    def test_stored_matrix_past_one_block_is_the_dense_product(self, beta1, beta2):
+        # the read-only blocks all go through one scratch block, which each
+        # block overwrites; the result must still hold every block's rows
+        rng = np.random.default_rng(89)
+        n_vision, n_text = 2 * _ROW_BLOCK + 5, 9
+        values = rng.uniform(-1.0, 1.0, size=(n_vision, n_text))
+        u_v, u_t = rng.uniform(0.0, 1.0, n_vision), rng.uniform(0.0, 1.0, n_text)
+        m = SimilarityMatrix(values=values)
+        out = apply_rerank(m, u_v, u_t, RerankParams(beta1=beta1, beta2=beta2))
+        want = (values * np.exp(-beta1 * u_v)[:, None]) * np.exp(-beta2 * u_t)
+        assert out.values.tobytes() == want.tobytes()
+        assert m.values.tobytes() == values.tobytes()
+
     def test_result_is_valid_similarity_matrix(self):
         values = np.array([[1.0, -1.0], [0.5, -0.5]])
         out = apply_rerank(

@@ -1,6 +1,7 @@
 """Prototype banks, losses, analytic gradients, and the training loop."""
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -184,6 +185,8 @@ class TestLossUct:
 
     def test_half_from_one_unit_error_over_two(self):
         assert loss_uct([1.0, 0.0], [0.0, 0.0]) == 0.5
+        # a finite gap whose square passes float64 is inf, with no warning
+        assert loss_uct([1e200], [0.0]) == math.inf
 
     def test_permutation_invariance(self):
         u = np.array([0.1, 0.9, 0.4])

@@ -173,6 +173,15 @@ MUTANTS = (
            "np.arange(start + 1, stop + 1)[:, None], alive, 0, hi - lo,",
            "a t2v block's rows are gallery indices start, ..., stop - 1 in the index tie-break",
            "tests/test_acceptance.py::test_criterion_10_retrieval_matches_naive_oracle"),
+    Mutant("scaled-blocks-chain-factors", "src/protouq/metrics.py",
+           "yield start, i, _scaled(block, row, col, at_rows, slice(None), out)",
+           "yield start, i, (block := _scaled(block, row, col, at_rows, slice(None), out))",
+           "every factor scales the unscaled block, not the previous factor's output",
+           "tests/test_property_based.py::test_blocked_rankings_match_full_sort_oracle"),
+    Mutant("scaled-blocks-write-read-only", "src/protouq/metrics.py",
+           "(i < len(factors) - 1 or not block.flags.writeable)", "(i < len(factors) - 1)",
+           "the last factor scales a block in place only when the block is writable",
+           "tests/test_acceptance.py::test_criterion_07_fitted_penalties_help_held_out_retrieval"),
 )
 
 
