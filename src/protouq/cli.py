@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .embed import TEXT, VISION, _SimilarityBlocks, batch_means
+from .embed import TEXT, VISION, _SimilarityBlocks, _unit_rows, batch_means
 from .errors import InvalidConfig, ParseError, ProtoUQError
 from .evidence import (
     EVIDENCE_KINDS,
@@ -93,10 +93,11 @@ def _from_flags(cls, args, **given):
 
 def _cmd_gen_synth(args) -> int:
     spec = _from_flags(SyntheticSpec, args)
-    vis_blocks, txt_blocks, pairs, labels = _corpus_blocks(spec)
+    raw_vis, raw_txt, pairs, labels = _corpus_blocks(spec)
+    vis_blocks, txt_blocks = (((s, _unit_rows(b, s)) for s, b in raw) for raw in (raw_vis, raw_txt))
     n_captions = spec.n_items * spec.captions_per_item
-    # Each block is written as it is drawn, and neither file replaces the
-    # one at its path until every block of both is written.
+    # Each block is normalized and written as it is drawn, and neither file
+    # replaces the one at its path until every block of both is written.
     with _atomic_write(args.vis) as vis_fh, _atomic_write(args.txt) as txt_fh:
         _write_embedding_rows(vis_fh, VISION, spec.n_items, spec.d, vis_blocks)
         _write_embedding_rows(txt_fh, TEXT, n_captions, spec.d, txt_blocks)
@@ -324,15 +325,15 @@ def _read_labels_column(path, n_items) -> np.ndarray:
 
 def _cmd_analyze_removal(args) -> int:
     _, vis, txt, pairs, m, u_v, u_t = _scored_corpus(args, _SimilarityBlocks)
-    if args.counts is not None:
-        counts = args.counts
-    elif all(0.0 <= f <= 1.0 for f in args.fractions):
+    counts = args.counts
+    if counts is None:
+        if not all(0.0 <= f <= 1.0 for f in args.fractions):
+            raise InvalidConfig("removal fractions must lie in [0, 1]")
         counts = [int(round(f * len(pairs))) for f in args.fractions]
-    else:
-        raise InvalidConfig("removal fractions must lie in [0, 1]")
-    curve = removal_curve(
-        m, u_v, u_t, pairs, counts, mode=args.mode, seed=args.seed, side=args.side
-    )
+        if any(b <= a for a, b in zip(counts, counts[1:])):
+            raise InvalidConfig(f"removal fractions {args.fractions} of {len(pairs)} pairs round to the "
+                                f"counts {tuple(counts)}, which are not strictly increasing; pass --counts")
+    curve = removal_curve(m, u_v, u_t, pairs, counts, mode=args.mode, seed=args.seed, side=args.side)
     rows = [
         (curve.mode, str(p.removed), f"{p.r1_t2v:.4f}", f"{p.r1_v2t:.4f}")
         for p in curve.points

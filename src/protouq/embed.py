@@ -122,8 +122,9 @@ def _stacked(shape, blocks) -> np.ndarray:
     return values
 
 
-def _checked_rows(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """A nonempty (n, d >= 2) float matrix of finite rows, with its row norms.
+def _checked_rows(matrix, first_row=0) -> tuple[np.ndarray, np.ndarray]:
+    """A nonempty (n, d >= 2) float matrix of finite rows, with its row norms;
+    an error counts rows from first_row, the matrix's first row in its set.
 
     A NaN or infinite entry makes its row's norm non-finite, so checking the
     n norms rejects every non-finite matrix without a pass over n * d (and a
@@ -143,8 +144,19 @@ def _checked_rows(matrix) -> tuple[np.ndarray, np.ndarray]:
     np.sqrt(norms, out=norms)
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
-        raise InvariantViolation(f"row {int(bad[0])} has a NaN, infinite or overflowing norm")
+        raise InvariantViolation(f"row {first_row + int(bad[0])} has a NaN, infinite or overflowing norm")
     return out, norms
+
+
+def _unit_rows(raw: np.ndarray, first_row=0) -> np.ndarray:
+    """raw, a float64 array its caller gives up, with each row checked once by _checked_rows,
+    refused below a norm of _NORM_EPS and divided in place by its norm: the one normalizer."""
+    raw, norms = _checked_rows(raw, first_row)
+    zero = np.flatnonzero(norms < _NORM_EPS)
+    if zero.size:
+        raise ZeroVector(f"row {first_row + int(zero[0])} has near-zero norm and cannot be normalized")
+    raw /= norms[:, None]
+    return raw
 
 
 @dataclass(frozen=True)
@@ -154,17 +166,26 @@ class EmbeddingSet:
     modality: str
     vectors: np.ndarray
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, rows_checked=False) -> None:
         if self.modality not in MODALITIES:
             raise ModalityMismatch(f"unknown modality {self.modality!r}")
-        vectors, norms = _checked_rows(self.vectors)
-        if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
-            worst = float(np.max(np.abs(norms - 1.0)))
-            raise InvariantViolation(
-                f"rows must be unit norm (worst deviation {worst:.3e}); "
-                "build sets through normalize_rows"
-            )
-        _freeze(self, "vectors", vectors)
+        if not rows_checked:
+            vectors, norms = _checked_rows(self.vectors)
+            if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
+                worst = float(np.max(np.abs(norms - 1.0)))
+                raise InvariantViolation(f"rows must be unit norm (worst deviation {worst:.3e}); "
+                                         "build sets through normalize_rows")
+            _freeze(self, "vectors", vectors)
+
+    @classmethod
+    def _normalized(cls, modality: str, raw: np.ndarray) -> EmbeddingSet:
+        """The set of raw's rows through _unit_rows, which checks each row once.  It sets
+        every field itself (a test pins them) and skips only __post_init__'s row check."""
+        self = object.__new__(cls)
+        _freeze(self, "vectors", _unit_rows(raw))
+        object.__setattr__(self, "modality", modality)
+        self.__post_init__(rows_checked=True)
+        return self
 
     @property
     def n(self) -> int:
@@ -191,18 +212,7 @@ def normalize_rows(matrix, modality: str) -> EmbeddingSet:
         InvariantViolation: an entry is NaN, infinite or not a number, or a
             row norm overflows.
     """
-    return _normalized(_as_float_matrix(matrix, copy=True), modality)
-
-
-def _normalized(raw: np.ndarray, modality: str) -> EmbeddingSet:
-    """normalize_rows of a float64 array the caller gives up: its rows are
-    divided in place and it becomes the set's read-only vectors."""
-    raw, norms = _checked_rows(raw)
-    bad = np.flatnonzero(norms < _NORM_EPS)
-    if bad.size:
-        raise ZeroVector(f"row {int(bad[0])} has near-zero norm and cannot be normalized")
-    raw /= norms[:, None]
-    return EmbeddingSet(modality=modality, vectors=raw)
+    return EmbeddingSet._normalized(modality, _as_float_matrix(matrix, copy=True))
 
 
 def cosine(u, v) -> float:

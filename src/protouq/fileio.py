@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import _ROW_BLOCK, TEXT, VISION, EmbeddingSet, PairSet, _normalized, _row_blocks
+from .embed import _ROW_BLOCK, TEXT, VISION, EmbeddingSet, PairSet, _row_blocks
 from .errors import (
     BadMagic,
     DimensionMismatch,
@@ -115,7 +115,7 @@ class _Cursor:
         signaling NaN becomes a quiet NaN without a RuntimeWarning, for the
         row checks to reject."""
         self._advance(4 * n * d)
-        if 8 * n > np.iinfo(np.intp).max:  # rows of width 0 take no bytes, however many
+        if 8 * n > np.iinfo(np.intp).max:
             raise InvariantViolation(f"{self.path}: {n} rows exceed NumPy's largest array")
         matrix = np.empty((n, d))
         buffer = np.empty((min(n, _ROW_BLOCK), d), dtype="<f4")
@@ -189,10 +189,8 @@ def _check_magic_version(cur: _Cursor, expected_magic: bytes) -> None:
 def _write_embedding_rows(fh, modality: str, n: int, d: int, blocks) -> None:
     """A "PAUE" file into an open fh: the header of n rows of width d, then
     the rows of the (start, block) pairs, which must hold n, as float32."""
-    fh.write(
-        _MAGIC_VERSION.pack(EMBEDDINGS_MAGIC, FORMAT_VERSION)
-        + _EMBED_HEADER.pack(_MODALITY_CODES[modality], n, d)
-    )
+    header = _EMBED_HEADER.pack(_MODALITY_CODES[modality], n, d)
+    fh.write(_MAGIC_VERSION.pack(EMBEDDINGS_MAGIC, FORMAT_VERSION) + header)
     _write_rows(fh, blocks)
 
 
@@ -206,14 +204,13 @@ def write_embeddings(embeddings: EmbeddingSet, path) -> None:
 def read_embeddings(path) -> EmbeddingSet:
     """Load a "PAUE" file; rows are re-normalized on the way in.
 
-    Stored vectors are float32, so unit norms hold only to float32
-    precision; re-normalizing restores the EmbeddingSet invariant and
-    surfaces genuinely zero rows as ZeroVector.  A regular file is read in
-    place.  A pipe has no size, so its payload, and one byte more to find
-    trailing bytes, is spooled first as it arrives.  Either way the payload
-    the header declares is checked against what the source holds before
-    anything is allocated, and then decoded one row block at a time into
-    the float64 array that is normalized in place into the returned set.
+    Stored vectors are float32, so unit norms hold only to float32 precision;
+    re-normalizing restores the invariant and surfaces zero rows as ZeroVector.
+    A regular file is read in place; a pipe's payload, and one byte more to find
+    trailing bytes, is spooled first.  Either way the declared payload is checked
+    against the source before anything is allocated, then decoded one row block
+    at a time into the float64 array that EmbeddingSet._normalized checks once
+    and normalizes in place.
     """
     with open(path, "rb") as fh:
         cur = _source(fh, path, _MAGIC_VERSION.size + _EMBED_HEADER.size)
@@ -224,7 +221,7 @@ def read_embeddings(path) -> EmbeddingSet:
         cur = _source(fh, path, 4 * n * d + 1, cur.pos)
         matrix = cur.rows(n, d)
         cur.done()
-    return _normalized(matrix, _MODALITY_NAMES[modality_code])
+    return EmbeddingSet._normalized(_MODALITY_NAMES[modality_code], matrix)
 
 
 def read_embeddings_csv(path, modality: str) -> EmbeddingSet:
@@ -239,23 +236,19 @@ def read_embeddings_csv(path, modality: str) -> EmbeddingSet:
         text = line.strip()
         if not text:
             continue
-        fields = text.split(",")
         try:
-            values = [float(f) for f in fields]
+            values = [float(f) for f in text.split(",")]
         except ValueError:
             if lineno == 1:
                 continue
             raise ParseError(f"{path}:{lineno}: non-numeric field")
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise ParseError(
-                f"{path}:{lineno}: expected {width} fields, got {len(values)}"
-            )
+        width = width or len(values)
+        if len(values) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} fields, got {len(values)}")
         rows.append(values)
     if not rows:
         raise ParseError(f"{path}: no vector rows")
-    return _normalized(np.array(rows, dtype=np.float64), modality)
+    return EmbeddingSet._normalized(modality, np.array(rows, dtype=np.float64))
 
 
 # ---- pairs ----

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import _ROW_BLOCK, TEXT, VISION, EmbeddingSet, PairSet, _integer, _normalized, _real, _stacked
+from .embed import _ROW_BLOCK, TEXT, VISION, EmbeddingSet, PairSet, _integer, _real, _stacked
 from .errors import InvalidSpec
 
 _WEIGHT_TOL = 1e-9
@@ -111,8 +111,8 @@ def _corpus_blocks(spec: SyntheticSpec):
 
     The draw order is fixed (directions, ambiguity levels, per-item
     direction sets, vision noise, text noise), so output is a pure function
-    of spec.  A block is (start, up to _ROW_BLOCK rows of a set, normalized
-    and read-only), and its noise is drawn when it is asked for, so use up the
+    of spec.  A block is (start, up to _ROW_BLOCK raw rows of a set, not yet
+    normalized), and its noise is drawn when it is asked for, so use up the
     vision blocks before the text blocks.  Drawing a set block by block
     draws the stream one call would, and every step is row by row, so the
     blocks hold the bits of whole sets.  Every caption of an item reuses
@@ -132,7 +132,7 @@ def _corpus_blocks(spec: SyntheticSpec):
         slots[i, :m] = chosen
         chosen_sets.append(chosen)
 
-    def blocks(n_rows, cpi, modality):
+    def blocks(n_rows, cpi):
         # Row r belongs to item r // cpi.  Its direction sum is added slot
         # by slot in the order that sum(axis=0) of the item's chosen rows
         # adds them, so with the same bits, and base + sigma * noise rounds
@@ -145,13 +145,13 @@ def _corpus_blocks(spec: SyntheticSpec):
             for j in range(1, spec.m_max):
                 np.add(base, directions[slots[items, j]], out=base, where=(ms[items] > j)[:, None])
             raw += base
-            yield start, _normalized(raw, modality).vectors
+            yield start, raw
 
     cpi = spec.captions_per_item
     captions = np.arange(spec.n_items * cpi)
     return (
-        blocks(spec.n_items, 1, VISION),
-        blocks(spec.n_items * cpi, cpi, TEXT),
+        blocks(spec.n_items, 1),
+        blocks(spec.n_items * cpi, cpi),
         PairSet(pairs=np.stack([captions // cpi, captions], axis=1)),
         AmbiguityLabels(counts=tuple(int(m) for m in ms), semantic_sets=tuple(chosen_sets)),
     )
@@ -162,13 +162,13 @@ def generate_corpus(
 ) -> tuple[EmbeddingSet, EmbeddingSet, PairSet, AmbiguityLabels]:
     """Build one corpus: vision set, text set, ground-truth pairs, labels.
 
-    The sets stack _corpus_blocks's blocks (embed._stacked), with the bits
-    gen-synth writes.  Beside the two float64 sets, the corpus allocates
-    only the (n_items, m_max) direction indices, the pairs, the labels and
-    row-block temporaries; no (n_items, d) array is drawn whole.
+    Each set stacks _corpus_blocks's raw blocks and is normalized once, with
+    the bits gen-synth writes.  Beside the two float64 sets, the corpus
+    allocates only the (n_items, m_max) direction indices, the pairs, the
+    labels and row-block temporaries; no (n_items, d) array is drawn whole.
     """
     vis_blocks, txt_blocks, pairs, labels = _corpus_blocks(spec)
-    vis = EmbeddingSet(modality=VISION, vectors=_stacked((spec.n_items, spec.d), vis_blocks))
+    vis = EmbeddingSet._normalized(VISION, _stacked((spec.n_items, spec.d), vis_blocks))
     n_captions = spec.n_items * spec.captions_per_item
-    txt = EmbeddingSet(modality=TEXT, vectors=_stacked((n_captions, spec.d), txt_blocks))
+    txt = EmbeddingSet._normalized(TEXT, _stacked((n_captions, spec.d), txt_blocks))
     return vis, txt, pairs, labels

@@ -30,9 +30,9 @@ from protouq import (
     write_embeddings,
     write_pairs,
 )
-from protouq import cli, synth
+from protouq import cli
 from protouq.cli import _write_csv, build_parser, run
-from protouq.embed import _ROW_BLOCK, TEXT
+from protouq.embed import _ROW_BLOCK
 from protouq.errors import ProtoUQError
 
 
@@ -143,19 +143,29 @@ class TestGenSynth:
         if fails == "noise-overflow":
             flags += ["--noise-sigma", "1e308"]
         else:
-            real = synth._normalized
+            real = cli._unit_rows
+            starts = []
 
-            def normalized(raw, modality):
-                if modality == TEXT:
+            def unit_rows(raw, first_row):
+                # The vision blocks start at 0, 256 and 512; the text blocks at 0 again.
+                starts.append(first_row)
+                if starts.count(0) == 2:
                     raise ProtoUQError("text block failed")
-                return real(raw, modality)
+                return real(raw, first_row)
 
-            monkeypatch.setattr(synth, "_normalized", normalized)
+            monkeypatch.setattr(cli, "_unit_rows", unit_rows)
         capsys.readouterr()
         assert run([*base, *flags]) == 1
         assert_one_line_error(capsys)
         assert {name: (tmp_path / name).read_bytes() for name in old} == old
         assert not list(tmp_path.glob("*.tmp.*"))
+
+    def test_a_bad_row_is_named_by_its_row_in_the_set(self, tmp_path, capsys):
+        # Row 20 of the vision block that starts at 256 overflows its norm.
+        assert run(["gen-synth", "--vis", str(tmp_path / "a.paue"), "--txt", str(tmp_path / "b.paue"),
+                    "--pairs", str(tmp_path / "c.tsv"), "--n-items", "600", "--d", "4",
+                    "--k-true", "4", "--noise-sigma", "2.5e153", "--seed", "22"]) == 1
+        assert capsys.readouterr().err == "error: row 276 has a NaN, infinite or overflowing norm\n"
 
 
 def synth_args(root):
@@ -567,6 +577,19 @@ class TestAnalyze:
         # 5/10/20/30 percent of the 80 pairs
         assert [r[1] for r in rows] == ["4", "8", "16", "24"]
         assert all(r[0] == "uncertainty" for r in rows)
+
+    def test_default_fractions_that_round_to_repeated_counts_are_named(self, tmp_path, capsys):
+        corpus = synth_args(tmp_path)
+        ckpt = str(tmp_path / "m.paup")
+        assert run(["gen-synth", *corpus, "--n-items", "5", "--captions-per-item", "1",
+                    "--d", "8", "--k-true", "4"]) == 0
+        assert run(["train", *corpus, "--ckpt", ckpt, "--epochs", "1", "--k", "2"]) == 0
+        capsys.readouterr()
+        assert run(["analyze", "removal-curve", "--ckpt", ckpt, *corpus]) == 1
+        assert capsys.readouterr().err == (
+            "error: removal fractions (0.05, 0.1, 0.2, 0.3) of 5 pairs round to the counts "
+            "(0, 0, 1, 2), which are not strictly increasing; pass --counts\n"
+        )
 
     def test_entropy_demo_contrast(self, tmp_path, capsys):
         out_csv = tmp_path / "demo.csv"

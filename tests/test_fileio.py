@@ -1,5 +1,6 @@
 """Wire formats: round-trips, byte stability, and typed corruption errors."""
 
+import dataclasses
 import os
 import struct
 import threading
@@ -17,6 +18,8 @@ from protouq import (
     PairSet,
     PrototypeBank,
     RerankParams,
+    SyntheticSpec,
+    generate_corpus,
     normalize_rows,
     read_checkpoint,
     read_embeddings,
@@ -26,7 +29,7 @@ from protouq import (
     write_embeddings,
     write_pairs,
 )
-from protouq import fileio
+from protouq import cli, embed, fileio
 from protouq.embed import _ROW_BLOCK
 from protouq.errors import (
     BadMagic,
@@ -356,17 +359,29 @@ INGESTS = ["normalize_rows", "csv", "paue"]
 
 def ingested(tmp_path, ingest, raw, modality):
     """The set one ingest path builds from raw's rows, and the float64 rows
-    it read: raw itself, or raw rounded to float32 for a PAUE file."""
+    it read: raw itself, or raw rounded to float32 for a PAUE file, read
+    in place or, for "pipe", through a pipe."""
     if ingest == "normalize_rows":
         return normalize_rows(raw, modality), raw
     if ingest == "csv":
         path = tmp_path / "e.csv"
         path.write_text("".join(",".join(map(repr, row)) + "\n" for row in raw.tolist()))
         return read_embeddings_csv(path, modality), raw
-    path = tmp_path / "e.paue"
     header = struct.pack("<4sHBQI", b"PAUE", 1, fileio._MODALITY_CODES[modality], *raw.shape)
-    path.write_bytes(header + raw.astype("<f4").tobytes())
-    return read_embeddings(path), raw.astype(np.float32).astype(np.float64)
+    blob = header + raw.astype("<f4").tobytes()
+    stored = raw.astype(np.float32).astype(np.float64)
+    if ingest == "paue":
+        path = tmp_path / "e.paue"
+        path.write_bytes(blob)
+        return read_embeddings(path), stored
+    read_end, write_end = os.pipe()
+    writer = threading.Thread(target=write_chunks, args=(write_end, blob, 1 << 16))
+    writer.start()
+    try:
+        return read_embeddings(f"/dev/fd/{read_end}"), stored
+    finally:
+        os.close(read_end)
+        writer.join()
 
 
 class TestIngestedSets:
@@ -406,6 +421,50 @@ class TestIngestedSets:
         rows = unit_set(0, 3, 4).vectors * (1.0 + 1e-5)
         with pytest.raises(InvariantViolation, match="unit norm"):
             EmbeddingSet(modality="vision", vectors=rows)
+
+
+class TestOneCheckPerIngestedRow:
+    """Each path that builds sets from raw rows checks every row once
+    (_checked_rows); a set built directly from an array checks it itself."""
+
+    def test_the_normalizing_construction_passes_every_field(self):
+        # EmbeddingSet._normalized sets each field itself and skips only
+        # __post_init__'s row check, so a new field must be set there too.
+        assert [f.name for f in dataclasses.fields(EmbeddingSet)] == ["modality", "vectors"]
+
+    @staticmethod
+    def counted_rows(monkeypatch):
+        """A list that gets the row count of each later _checked_rows call."""
+        seen = []
+        real = embed._checked_rows
+
+        def counted(matrix, *args):
+            seen.append(len(matrix))
+            return real(matrix, *args)
+
+        monkeypatch.setattr(embed, "_checked_rows", counted)
+        return seen
+
+    @pytest.mark.parametrize("ingest", [*INGESTS, "pipe", "generate_corpus", "gen-synth"])
+    def test_each_row_is_checked_once(self, tmp_path, monkeypatch, ingest):
+        seen = self.counted_rows(monkeypatch)
+        n = 2 * _ROW_BLOCK + 3
+        if ingest == "generate_corpus":
+            generate_corpus(SyntheticSpec(n_items=n, d=8, k_true=4))
+            n *= 3  # the vision set and two captions an item
+        elif ingest == "gen-synth":
+            assert cli.run(["gen-synth", "--vis", str(tmp_path / "v"), "--txt", str(tmp_path / "t"),
+                            "--pairs", str(tmp_path / "p"), "--n-items", str(n), "--d", "8"]) == 0
+            n *= 3
+        else:
+            ingested(tmp_path, ingest, np.random.default_rng(0).standard_normal((n, 5)), "vision")
+        assert sum(seen) == n
+
+    def test_a_direct_set_checks_its_rows(self, monkeypatch):
+        rows = unit_set(0, 3, 4).vectors
+        seen = self.counted_rows(monkeypatch)
+        EmbeddingSet(modality="vision", vectors=rows)
+        assert seen == [3]
 
 
 class TestPairsIO:

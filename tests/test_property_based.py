@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from protouq import (
     Checkpoint,
+    EmbeddingSet,
     EvidenceConfig,
     PairSet,
     ProtoUQError,
@@ -39,10 +40,11 @@ from protouq import (
     write_embeddings,
 )
 from protouq.cli import run
-from protouq.embed import _ROW_BLOCK
+from protouq.embed import _NORM_EPS, _ROW_BLOCK, _UNIT_TOL
 from protouq.errors import InvariantViolation, ZeroVariance, ZeroVector
 from protouq.metrics import DIRECTIONS, _report
 from test_embed import REAL_FIELDS, _spec
+from test_fileio import ingested
 from test_metrics import assert_matches_naive_oracle, naive_ranks, random_many_to_many
 
 settings.register_profile("suite", deadline=None, max_examples=200)
@@ -174,14 +176,30 @@ def test_softmax_normalizes_and_shift_invariant(logits, shift):
     assert np.allclose(softmax(x + shift), p, atol=1e-12)
 
 
-@given(st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=8),
+@settings(max_examples=40)
+@given(st.integers(min_value=2, max_value=8),
+       st.one_of(st.integers(min_value=1, max_value=8),
+                 st.integers(min_value=_ROW_BLOCK - 2, max_value=2 * _ROW_BLOCK + 3)),
+       st.sampled_from([-30.0, -10.0]), st.sampled_from(["vision", "text"]),
        st.randoms(use_true_random=False))
-def test_normalize_rows_yields_unit_rows(d, n, rnd):
+def test_normalize_rows_yields_unit_rows(tmp_path_factory, d, n, low, modality, rnd):
+    # Every ingest path: normalize_rows, CSV, and a PAUE file read in place
+    # and through a pipe, at row scales from 10**low to 1e30.  The first row
+    # whose norm is below _NORM_EPS, as read, is a ZeroVector.
     rng = np.random.default_rng(rnd.getrandbits(64))
-    matrix = rng.standard_normal((n, d)) * 10.0
-    es = normalize_rows(matrix, "vision")
-    assert np.allclose(np.linalg.norm(es.vectors, axis=1), 1.0, atol=1e-12)
-    assert es.modality == "vision"
+    raw = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(low, 30.0, (n, 1))
+    for ingest in ("normalize_rows", "csv", "paue", "pipe"):
+        read = raw if ingest in ("normalize_rows", "csv") else raw.astype(np.float32).astype(np.float64)
+        zero = np.flatnonzero(np.linalg.norm(read, axis=1) < _NORM_EPS)
+        if zero.size:
+            with pytest.raises(ZeroVector, match=f"row {zero[0]} "):
+                ingested(tmp_path_factory.mktemp("ingest"), ingest, raw, modality)
+            continue
+        es, _ = ingested(tmp_path_factory.mktemp("ingest"), ingest, raw, modality)
+        assert es.modality == modality
+        assert (np.abs(np.linalg.norm(es.vectors, axis=1) - 1.0) <= _UNIT_TOL).all()
+        direct = EmbeddingSet(modality=modality, vectors=read / np.linalg.norm(read, axis=1)[:, None])
+        assert es.vectors.tobytes() == direct.vectors.tobytes()
 
 
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=8),

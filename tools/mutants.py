@@ -134,8 +134,21 @@ MUTANTS = (
            "tests/test_synth.py::TestSyntheticSpec::test_whole_float_level_refused"),
     Mutant("normalized-no-division", "src/protouq/embed.py",
            "    raw /= norms[:, None]\n", "",
-           "an ingested set's rows are divided by their norms before EmbeddingSet checks them",
-           "tests/test_acceptance.py::test_criterion_02_analytic_gradients_match_finite_differences"),
+           "an ingested set's rows are divided by their norms",
+           "tests/test_cli.py::TestGenSynth::test_a_bad_row_is_named_by_its_row_in_the_set"),
+    Mutant("normalized-keeps-zero-rows", "src/protouq/embed.py",
+           "zero = np.flatnonzero(norms < _NORM_EPS)", "zero = np.flatnonzero(norms < 0.0)",
+           "an ingested row of norm below 1e-12 is a ZeroVector, not divided",
+           "tests/test_embed.py::TestNormalizeRows::test_zero_row_rejected"),
+    Mutant("normalized-skips-row-check", "src/protouq/embed.py",
+           "    raw, norms = _checked_rows(raw, first_row)\n",
+           "    norms = np.linalg.norm(raw, axis=1)\n",
+           "an ingested row with a NaN, infinite or overflowing norm is refused once, by _checked_rows",
+           "tests/test_cli.py::TestGenSynth::test_a_bad_row_is_named_by_its_row_in_the_set"),
+    Mutant("direct-set-skips-unit-test", "src/protouq/embed.py",
+           "if np.any(np.abs(norms - 1.0) > _UNIT_TOL):", "if False:",
+           "a set built directly from an array still checks that its rows are unit norm",
+           "tests/test_embed.py::TestEmbeddingSet::test_non_unit_rows_rejected"),
     Mutant("csv-lines-end-in-lf", "src/protouq/cli.py",
            'fh.write(",".join(row) + "\\r\\n")', 'fh.write(",".join(row) + "\\n")',
            "every CLI CSV line ends in csv.writer's \\r\\n",
