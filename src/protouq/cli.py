@@ -418,26 +418,6 @@ def _add_corpus_flags(p: argparse.ArgumentParser, ckpt_help=None, ckpt_required=
     p.add_argument("--ckpt", required=ckpt_required, help=ckpt_help)
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=TrainConfig.k, help="prototypes per bank")
-    p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float,
-                   default=TrainConfig.learning_rate)
-    p.add_argument("--lambda-div", type=float, default=TrainConfig.lambda_div)
-    p.add_argument("--h-mapping", choices=sorted(H_MAPPINGS), default=TrainConfig.h_mapping)
-    p.add_argument("--beta1", type=float, default=RerankParams.beta1, help="stored rerank weight")
-    p.add_argument("--beta2", type=float, default=RerankParams.beta2, help="stored rerank weight")
-
-
-def _add_evidence_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--evidence", dest="kind", choices=list(EVIDENCE_KINDS),
-                   default=EvidenceConfig.kind)
-    p.add_argument("--tau", type=float, default=EvidenceConfig.tau)
-    p.add_argument("--gamma", type=float, default=EvidenceConfig.gamma)
-    p.add_argument("--theta", type=float, default=EvidenceConfig.theta)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="protouq",
@@ -466,8 +446,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p, ckpt_help="output checkpoint")
     p.add_argument("--out", help="optional loss history CSV")
     p.add_argument("--seed", type=int, default=0)
-    _add_train_flags(p)
-    _add_evidence_flags(p)
+    p.add_argument("--k", type=int, default=TrainConfig.k, help="prototypes per bank")
+    p.add_argument("--epochs", type=int, required=True)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float,
+                   default=TrainConfig.learning_rate)
+    p.add_argument("--lambda-div", type=float, default=TrainConfig.lambda_div)
+    p.add_argument("--h-mapping", choices=sorted(H_MAPPINGS), default=TrainConfig.h_mapping)
+    p.add_argument("--beta1", type=float, default=RerankParams.beta1, help="stored rerank weight")
+    p.add_argument("--beta2", type=float, default=RerankParams.beta2, help="stored rerank weight")
+    p.add_argument("--evidence", dest="kind", choices=list(EVIDENCE_KINDS),
+                   default=EvidenceConfig.kind)
+    p.add_argument("--tau", type=float, default=EvidenceConfig.tau)
+    p.add_argument("--gamma", type=float, default=EvidenceConfig.gamma)
+    p.add_argument("--theta", type=float, default=EvidenceConfig.theta)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("score", help="per-instance uncertainty from a checkpoint")

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import _NORM_EPS, MODALITIES, EmbeddingSet, _checked_rows, _freeze, _real, _reals
+from .embed import (
+    _NORM_EPS, MODALITIES, EmbeddingSet, _as_float_matrix, _checked_rows, _freeze, _real, _reals,
+)
 from .errors import (
     DimensionMismatch,
     EmptyVector,
@@ -106,7 +108,7 @@ def generate_evidence(s, cfg: EvidenceConfig = EvidenceConfig()):
                  once gamma s exceeds theta
     exponential: exp(s / tau)
     """
-    arr = np.asarray(s, dtype=np.float64)
+    arr = _as_float_matrix(s, ndim=None)
     if cfg.kind == RELU:
         out = np.maximum(arr, 0.0)
     elif cfg.kind == SOFTPLUS:
@@ -123,7 +125,7 @@ def evidence_slope(s, cfg: EvidenceConfig = EvidenceConfig()):
 
     The relu subgradient at exactly 0 is taken as 0.
     """
-    arr = np.asarray(s, dtype=np.float64)
+    arr = _as_float_matrix(s, ndim=None)
     if cfg.kind == RELU:
         out = (arr > 0.0).astype(np.float64)
     elif cfg.kind == SOFTPLUS:

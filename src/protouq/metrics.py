@@ -364,7 +364,8 @@ def _distribution(p, name: str) -> np.ndarray:
     arr = _reals(p, name, NotADistribution, nonnegative=True)
     if arr.size == 0:
         raise EmptyVector(f"{name} has no entries")
-    total = float(arr.sum())
+    with np.errstate(over="ignore"):  # a sum past float64 is inf, which is not 1
+        total = float(arr.sum())
     if abs(total - 1.0) > _DIST_TOL:
         raise NotADistribution(f"{name} sums to {total}, not 1")
     return arr
@@ -384,11 +385,11 @@ def jsd(p, q) -> float:
     a, b = _distribution(p, "p"), _distribution(q, "q")
     if a.shape != b.shape:
         raise LengthMismatch(f"lengths differ: {a.shape[0]} vs {b.shape[0]}")
-    mid = 0.5 * (a + b)
+    total = a + b  # x / mid is taken as 2x / (a + b): a subnormal mid can round to 0
 
     def _kl_to_mid(x: np.ndarray) -> float:
         mask = x > 0.0
-        return float(np.sum(x[mask] * np.log2(x[mask] / mid[mask])))
+        return float(np.sum(x[mask] * np.log2(2.0 * x[mask] / total[mask])))
 
     return float(np.clip(0.5 * _kl_to_mid(a) + 0.5 * _kl_to_mid(b), 0.0, 1.0))
 

@@ -22,6 +22,7 @@ from .embed import (
     _NORM_EPS,
     EmbeddingSet,
     PairSet,
+    _as_float_matrix,
     _batch_means,
     _check_cross_modal,
     _grouped,
@@ -129,11 +130,12 @@ class TrainHistory:
 
 def map_targets(raw_means: np.ndarray, mode: str = H_CLAMP) -> np.ndarray:
     """Map raw batch-mean cosines into [0, 1] regression targets."""
+    if mode not in H_MAPPINGS:
+        raise InvalidConfig(f"unknown h_mapping {mode!r}")
+    raw_means = _as_float_matrix(raw_means, ndim=None)
     if mode == H_CLAMP:
         return np.clip(raw_means, 0.0, 1.0)
-    if mode == H_AFFINE:
-        return (raw_means + 1.0) / 2.0
-    raise InvalidConfig(f"unknown h_mapping {mode!r}")
+    return (raw_means + 1.0) / 2.0
 
 
 def _uct_value(u: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -47,6 +47,8 @@ from protouq import (
     write_embeddings,
     write_pairs,
 )
+from test_metrics import naive_ranks
+from test_rerank import mean_r1
 
 
 def report(capsys, number, ok, detail, elapsed):
@@ -235,12 +237,6 @@ def _sub_block(values, u_v, u_t, pairs, item_ids, cpi):
     )
 
 
-def _mean_r1(m, pairs):
-    return 0.5 * (
-        evaluate_retrieval(m, pairs, "t2v").r1 + evaluate_retrieval(m, pairs, "v2t").r1
-    )
-
-
 def test_criterion_07_fitted_penalties_help_held_out_retrieval(capsys):
     start = time.perf_counter()
     deltas = []
@@ -261,8 +257,8 @@ def test_criterion_07_fitted_penalties_help_held_out_retrieval(capsys):
         val = _sub_block(values, u_v, u_t, pairs, range(0, 500, 2), 2)
         held = _sub_block(values, u_v, u_t, pairs, range(1, 500, 2), 2)
         params = fit_betas(*val)
-        before = _mean_r1(held[0], held[3])
-        after = _mean_r1(apply_rerank(held[0], held[1], held[2], params), held[3])
+        before = mean_r1(held[0], held[3])
+        after = mean_r1(apply_rerank(held[0], held[1], held[2], params), held[3])
         deltas.append(after - before)
     mean_delta = float(np.mean(deltas))
     elapsed = time.perf_counter() - start
@@ -324,20 +320,6 @@ def test_criterion_09_flat_confidence_entropy_blind_spot(capsys):
     )
 
 
-def _naive_ranks(values, pairs, direction):
-    """Full-sort reference: stable descending sort, best positive position."""
-    if direction == "t2v":
-        queries, positives = values.T, pairs.visions_of()
-    else:
-        queries, positives = values, pairs.texts_of()
-    ranks = np.zeros(queries.shape[0], dtype=np.int64)
-    for q in range(queries.shape[0]):
-        order = np.lexsort((np.arange(queries.shape[1]), -queries[q]))
-        pos = {int(g) for g in positives[q]}
-        ranks[q] = min(i for i, g in enumerate(order) if int(g) in pos) + 1
-    return ranks
-
-
 def test_criterion_10_retrieval_matches_naive_oracle(capsys):
     start = time.perf_counter()
     mismatches = 0
@@ -356,7 +338,7 @@ def test_criterion_10_retrieval_matches_naive_oracle(capsys):
         pairs = PairSet(pairs=tuple(sorted(entries)))
         m = SimilarityMatrix(values=values)
         for direction in ("t2v", "v2t"):
-            ref = _naive_ranks(values, pairs, direction)
+            ref = naive_ranks(values, pairs, direction)
             if not np.array_equal(retrieval_ranks(m, pairs, direction), ref):
                 mismatches += 1
             rep_out = evaluate_retrieval(m, pairs, direction)

@@ -21,9 +21,12 @@ from protouq import (
     dirichlet_from_evidence,
     entropy,
     evaluate_reranked,
+    evidence_slope,
     fit_betas,
+    generate_evidence,
     jsd,
     loss_uct,
+    map_targets,
     normalize_rows,
     pearson,
     removal_curve,
@@ -430,3 +433,17 @@ class TestArrayRule:
             x.flat[-1] = value
             with pytest.raises(error):
                 call(x)
+
+    @pytest.mark.parametrize("call, plain", [
+        (generate_evidence, lambda x: np.exp(x / EvidenceConfig.tau)),
+        (evidence_slope, lambda x: np.exp(x / EvidenceConfig.tau) / EvidenceConfig.tau),
+        (map_targets, lambda x: np.clip(x, 0.0, 1.0)),
+    ], ids=["generate_evidence", "evidence_slope", "map_targets"])
+    def test_training_kernels_take_the_one_conversion(self, call, plain):
+        """A string, numeric or not, and ragged rows are InvariantViolation; a
+        float array keeps its bits, NaN in, NaN out."""
+        for bad in ("a", ["1"], [[1.0], [2.0, 3.0]]):
+            with pytest.raises(InvariantViolation):
+                call(bad)
+        x = np.array([[-0.7, -0.0, 0.3], [1.5, np.nan, -2.0]])
+        assert call(x).tobytes() == plain(x).tobytes()

@@ -37,20 +37,18 @@ DIAG2 = PairSet(pairs=((0, 0), (1, 1)))
 
 
 def naive_ranks(values, pairs, direction):
-    """Full-sort oracle: rank = position after sorting by (-score, index)."""
+    """Full-sort oracle: rank = position after sorting by (-score, index),
+    with each query's positives grouped from pairs.pairs itself."""
     values = np.asarray(values, dtype=np.float64)
-    if direction == "t2v":
-        by_query = pairs.visions_of()
-        queries = range(values.shape[1])
-    else:
-        by_query = pairs.texts_of()
-        queries = range(values.shape[0])
+    queries, side = (values.T, 1) if direction == "t2v" else (values, 0)
+    by_query = {}
+    for pair in pairs.pairs.tolist():
+        by_query.setdefault(pair[side], []).append(pair[1 - side])
     ranks = []
-    for q in queries:
-        scores = values[:, q] if direction == "t2v" else values[q, :]
+    for q, scores in enumerate(queries):
         order = np.lexsort((np.arange(scores.size), -scores))
         position = {int(g): i + 1 for i, g in enumerate(order)}
-        ranks.append(min(position[int(p)] for p in by_query[q]))
+        ranks.append(min(position[g] for g in by_query[q]))
     return np.array(ranks)
 
 
@@ -452,6 +450,11 @@ class TestEntropy:
         with pytest.raises(EmptyVector):
             entropy([])
 
+    def test_a_sum_past_float64_is_not_a_distribution(self):
+        # pytest turns warnings into errors, so an overflow warning fails here too
+        with pytest.raises(NotADistribution, match="sums to inf"):
+            entropy([1.7e308, 1.7e308])
+
 
 class TestJsd:
     def test_identical_distributions_score_zero(self):
@@ -478,6 +481,15 @@ class TestJsd:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             jsd([0.5, 0.5], [0.2, 0.3, 0.5])
+
+    def test_a_sum_past_float64_is_not_a_distribution(self):
+        with pytest.raises(NotADistribution, match="sums to inf"):
+            jsd([1.7e308, 1.7e308], [0.5, 0.5])
+
+    @pytest.mark.parametrize("p, q", [([5e-324, 1.0], [0.0, 1.0]), ([1.0, 0.0], [1.0, 5e-324])])
+    def test_a_subnormal_entry_divides_by_no_zero(self, p, q):
+        # 0.5 * (5e-324 + 0) rounds to 0, so a ratio over the midpoint would divide by 0
+        assert jsd(p, q) == jsd(q, p) == 0.0
 
 
 class TestMixingPath:

@@ -6,6 +6,7 @@ not just the seeded examples the other test files pin down.
 
 import contextlib
 import io
+import math
 import struct
 
 import numpy as np
@@ -22,11 +23,13 @@ from protouq import (
     apply_rerank,
     cosine,
     dirichlet_from_evidence,
+    entropy,
     evaluate_reranked,
     fit_betas,
     generate_evidence,
     init_prototypes,
     jsd,
+    loss_uct,
     msvd_collision_logprob,
     normalize_rows,
     pearson,
@@ -41,7 +44,7 @@ from protouq import (
 )
 from protouq.cli import run
 from protouq.embed import _NORM_EPS, _ROW_BLOCK, _UNIT_TOL
-from protouq.errors import InvariantViolation, ZeroVariance, ZeroVector
+from protouq.errors import InvariantViolation, NegativeEvidence, NotADistribution, ZeroVariance, ZeroVector
 from protouq.metrics import DIRECTIONS, _report
 from test_embed import REAL_FIELDS, _spec
 from test_fileio import ingested
@@ -121,6 +124,27 @@ def test_cosine_pearson_and_softmax_take_any_finite_entries(rows, data):
     for call in (lambda v: cosine(v, y), lambda v: pearson(y, v), softmax):
         with pytest.raises(InvariantViolation):
             call(bad)
+
+
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=16))
+@example([(5e-324, 0.0), (1.0, 1.0)])  # jsd: 0.5 * (5e-324 + 0) rounds to 0
+@example([(1.0, 1.0), (0.0, 5e-324)])
+@example([(1.7e308, 0.5), (1.7e308, 0.5)])  # entropy and jsd: the sum check overflows
+def test_entropy_jsd_loss_and_dirichlet_take_any_finite_entries(rows):
+    """Over every finite float, subnormals and +-1.8e308 included, and never with
+    a NumPy warning: entropy lies within 1e-8 of [0, log n] (a distribution sums
+    to 1 within 1e-9) and jsd in [0, 1], or each raises NotADistribution;
+    loss_uct lies in [0, inf]; u lies in [0, 1], or dirichlet_from_evidence
+    raises NegativeEvidence."""
+    p, q = (np.array(column) for column in zip(*rows))
+    with contextlib.suppress(NotADistribution):
+        assert -1e-8 <= entropy(p) <= math.log(p.size) + 1e-8
+    with contextlib.suppress(NotADistribution):
+        assert 0.0 <= jsd(p, q) <= 1.0
+    assert 0.0 <= loss_uct(p, q) <= math.inf
+    with contextlib.suppress(NegativeEvidence):
+        assert 0.0 <= dirichlet_from_evidence(p).u <= 1.0
 
 
 @given(st.integers(min_value=2, max_value=32), st.randoms(use_true_random=False))

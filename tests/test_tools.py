@@ -1,6 +1,7 @@
 """The repository's own tools."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,11 @@ def test_each_mutant_names_a_test_that_exists():
     for mutant in mutants.MUTANTS:
         path, *_, test = mutant.killed_by.split("::")
         assert f"def {test.split('[')[0]}(" in (ROOT / path).read_text(), mutant.name
+
+
+def test_readme_counts_the_mutants():
+    count = re.search(r"A full run of its (\d+) mutants", (ROOT / "README.md").read_text())
+    assert int(count[1]) == len(load_mutants().MUTANTS)
 
 
 def test_mutants_kills_one_mutant_with_one_test_file():

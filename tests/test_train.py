@@ -43,11 +43,7 @@ from protouq.train import (
     _batch_gradients,
     map_targets,
 )
-
-
-def unit_rows(n, d, seed, modality=VISION):
-    rng = np.random.default_rng(seed)
-    return normalize_rows(rng.standard_normal((n, d)), modality)
+from test_embed import unit_rows
 
 
 class TestInitPrototypes:

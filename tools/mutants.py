@@ -102,6 +102,11 @@ MUTANTS = (
            "    slope[huge] = k / strength[huge] / strength[huge]\n", "",
            "rows whose S^2 overflows take K / S / S, not K / inf = 0",
            "tests/test_train.py::test_rows_whose_strength_squared_overflows_reach_the_gradient"),
+    Mutant("evidence-own-conversion", "src/protouq/evidence.py",
+           "    arr = _as_float_matrix(s, ndim=None)\n    if cfg.kind == RELU:\n        out = np.maximum",
+           "    arr = np.asarray(s, dtype=np.float64)\n    if cfg.kind == RELU:\n        out = np.maximum",
+           "similarities go through the one array conversion, so a string is InvariantViolation",
+           "tests/test_embed.py::TestArrayRule::test_training_kernels_take_the_one_conversion[generate_evidence]"),
     Mutant("tau-flag-sets-theta", "src/protouq/cli.py",
            'p.add_argument("--tau", type=float', 'p.add_argument("--tau", dest="theta", type=float',
            "each flag's dest is the name of the field it sets",
@@ -158,9 +163,13 @@ MUTANTS = (
            "every CLI CSV starts with its header",
            "tests/test_cli.py::TestGenSynth::test_labels_csv"),
     Mutant("jsd-midpoint-order", "src/protouq/metrics.py",
-           "    mid = 0.5 * (a + b)\n", "    mid = a + 0.5 * (b - a)\n",
+           "    total = a + b  #", "    total = 2.0 * a + (b - a)  #",
            "jsd(p, q) == jsd(q, p) bit for bit; only a property test feeds it enough pairs",
            "tests/test_property_based.py::test_jsd_symmetric_and_bounded"),
+    Mutant("jsd-ratio-over-mid", "src/protouq/metrics.py",
+           "np.log2(2.0 * x[mask] / total[mask])", "np.log2(x[mask] / (0.5 * total[mask]))",
+           "a subnormal entry's midpoint can round to 0, so the ratio is 2x / (a + b)",
+           "tests/test_metrics.py::TestJsd::test_a_subnormal_entry_divides_by_no_zero[p0-q0]"),
     Mutant("reals-accepts-non-finite", "src/protouq/embed.py",
            "if not np.isfinite(out).all() or nonnegative and (out < 0.0).any():",
            "if nonnegative and (out < 0.0).any():",
